@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .clamped import ElectronicField
-from .grid import Grid1D, GridFunction
+from .grid import Grid1D, GridFunction, central_difference, kinetic_diagonals, second_difference
 from .model import ModelSpec
 
 
@@ -74,11 +74,10 @@ def solve_nuclear(field: ElectronicField, spec: ModelSpec, a: int, n_levels: int
     g1 = field.grid1
     if not 1 <= n_levels <= g1.n:
         raise ValueError(f"need 1 <= n_levels <= n1, got {n_levels}")
-    kin = 1.0 / (2.0 * spec.M * g1.h * g1.h)
-    diag = 2.0 * kin + field.energies[a].copy()
+    diag, off = kinetic_diagonals(g1, spec.M)
+    diag += field.energies[a]
     if born_huang:
         diag += born_huang_correction(field, spec, a)
-    off = np.full(g1.n - 1, -kin)
     try:
         vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -111,8 +110,7 @@ def adiabatic_residual(field: ElectronicField, a: int) -> ResidualReport:
     n1 = field.grid1.n
     if n1 < 3:
         raise ValueError("need at least three slices for a central difference")
-    psi = field.states[a]
-    d = (psi[2:] - psi[:-2]) / (2.0 * field.grid1.h)
+    d = _slice_derivative(field.states[a], field.grid1.h)[1:-1]
     norms = np.sqrt((field.grid2.h * np.sum(d * np.conj(d), axis=1)).real)
     return ResidualReport(surface=a, per_slice=norms,
                           max=float(norms.max()), mean=float(norms.mean()))
@@ -150,23 +148,14 @@ def t1_coupling_matrix(field: ElectronicField, nuclear: dict[int, NuclearSolutio
         if nuclear[a].grid1 != field.grid1:
             raise ValueError("nuclear solutions must share the field's nuclear grid")
     h1, h2 = field.grid1.h, field.grid2.h
-    n1 = field.grid1.n
 
     bras, t1kets = [], []
     for a, n in levels:
         theta = nuclear[a].wavefunctions[n]
         psi = field.states[a]
         bras.append(theta[:, None] * psi)
-        # Dirichlet second difference of theta (theta vanishes at the walls)
-        tpp = np.empty(n1)
-        tpp[1:-1] = (theta[2:] - 2.0 * theta[1:-1] + theta[:-2])
-        tpp[0] = theta[1] - 2.0 * theta[0]
-        tpp[-1] = theta[-2] - 2.0 * theta[-1]
-        tpp /= h1 * h1
-        tp = np.zeros(n1)
-        tp[1:-1] = (theta[2:] - theta[:-2]) / (2.0 * h1)
-        tp[0] = theta[1] / (2.0 * h1)
-        tp[-1] = -theta[-2] / (2.0 * h1)
+        tpp = second_difference(theta, field.grid1)
+        tp = central_difference(theta, field.grid1)
         dpsi = _slice_derivative(psi, h1)
         ddpsi = _slice_second_derivative(psi, h1)
         action = tpp[:, None] * psi + 2.0 * tp[:, None] * dpsi + theta[:, None] * ddpsi

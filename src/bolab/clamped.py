@@ -13,13 +13,12 @@ far apart compared to the heavy particle's kinetic-energy scale over the
 region where its wavefunction lives.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .grid import Grid1D, GridFunction
+from .grid import Grid1D, GridFunction, kinetic_diagonals
 from .model import ModelSpec, evaluate_potential
 
 # Adjacent slice eigenvalues closer than this (relative to the local scale)
@@ -74,16 +73,14 @@ def solve_clamped_slice(spec: ModelSpec, grid2: Grid1D, X: float, A: int):
     """
     if not 1 <= A <= grid2.n:
         raise ValueError(f"need 1 <= A <= n2, got A = {A}, n2 = {grid2.n}")
-    h2 = grid2.h
-    kin = 1.0 / (2.0 * spec.m * h2 * h2)
-    diag = 2.0 * kin + evaluate_potential(spec, X, grid2.points)
-    off = np.full(grid2.n - 1, -kin)
+    diag, off = kinetic_diagonals(grid2, spec.m)
+    diag += evaluate_potential(spec, X, grid2.points)
     try:
         energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, A - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise RuntimeError(f"clamped eigensolve failed to converge at slice X = {X}") from exc
     # LAPACK vectors are unit in the Euclidean norm; rescale to the h2-weighted norm.
-    return energies, (vecs / np.sqrt(h2)).T.copy()
+    return energies, (vecs / np.sqrt(grid2.h)).T.copy()
 
 
 def phase_fix(states: np.ndarray, energies: np.ndarray, h2: float):
@@ -138,25 +135,14 @@ def _degenerate_groups(vals: np.ndarray, tol: float):
 def scan_pes(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, threads: int = 1) -> ElectronicField:
     """Solve every clamped slice over grid1 and assemble a phase-continuous field.
 
-    Slices are independent and may run on a thread pool; results are
-    aggregated in ascending slice order and the phase sweep runs
-    sequentially, so the output is identical for any worker count.
+    Slices are solved serially in ascending order, then phase-fixed in one
+    sequential sweep. ``threads`` is accepted for compatibility and ignored:
+    a slice pool measured no faster than the serial loop.
     """
-    n1, n2 = grid1.n, grid2.n
-    energies = np.empty((A, n1))
-    states = np.empty((A, n1, n2))
-
-    def solve(i):
-        return solve_clamped_slice(spec, grid2, grid1.points[i], A)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, range(n1)))
-    else:
-        results = [solve(i) for i in range(n1)]
-    for i, (vals, vecs) in enumerate(results):
-        energies[:, i] = vals
-        states[:, i, :] = vecs
+    energies = np.empty((A, grid1.n))
+    states = np.empty((A, grid1.n, grid2.n))
+    for i, X in enumerate(grid1.points):
+        energies[:, i], states[:, i, :] = solve_clamped_slice(spec, grid2, X, A)
 
     states, crossing, degenerate = phase_fix(states, energies, grid2.h)
     return ElectronicField(grid1=grid1, grid2=grid2, n_surfaces=A,

@@ -11,6 +11,9 @@ Commands and their artifacts:
     compare   report.json          consolidated single-model report
     scaling   scaling.csv, report.json
 
+--threads (or BO_LAB_THREADS, or "threads" in the config) sets the number of
+sweep workers of ``scaling``; other commands ignore it.
+
 Exit codes: 0 success, 1 unknown command / usage, 2 config error,
 3 solver failure. Flags override BO_LAB_* environment variables, which
 override config-file values. Identical configs produce byte-identical
@@ -162,7 +165,7 @@ def _heavy_inputs(cfg: RunConfig):
 # command implementations
 
 def run_pes(cfg: RunConfig, out: Path) -> list:
-    field = scan_pes(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces, threads=cfg.threads)
+    field = scan_pes(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces)
     header = ["x1"] + [f"lambda_{a}" for a in range(cfg.n_surfaces)]
     rows = [[x] + [field.energies[a, i] for a in range(cfg.n_surfaces)]
             for i, x in enumerate(cfg.grid1.points)]
@@ -171,7 +174,7 @@ def run_pes(cfg: RunConfig, out: Path) -> list:
 
 
 def run_bo(cfg: RunConfig, out: Path) -> list:
-    field = scan_pes(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces, threads=cfg.threads)
+    field = scan_pes(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces)
     sol = solve_nuclear(field, cfg.model, 0, cfg.nuclear_levels)
     h = assemble_full_hamiltonian(cfg.model, cfg.grid1, cfg.grid2)
     residual = adiabatic_residual(field, 0)
@@ -208,7 +211,7 @@ def run_exact(cfg: RunConfig, out: Path) -> list:
 
 
 def run_project(cfg: RunConfig, out: Path) -> list:
-    field = scan_pes(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces, threads=cfg.threads)
+    field = scan_pes(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces)
     h = assemble_full_hamiltonian(cfg.model, cfg.grid1, cfg.grid2)
     exact = solve_exact(h, 1, seed=cfg.seed)
     k = min(cfg.exact_k, cfg.projector_rank * cfg.grid1.n)
@@ -227,8 +230,7 @@ def run_compare(cfg: RunConfig, out: Path) -> list:
     report = diagnostics.compare_report(
         cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces, cfg.projector_rank,
         nuclear_levels=cfg.nuclear_levels, region=region, t1_scale=t1,
-        threshold=cfg.heavy_threshold, threads=cfg.threads, seed=cfg.seed,
-        exact_k=cfg.exact_k)
+        threshold=cfg.heavy_threshold, seed=cfg.seed, exact_k=cfg.exact_k)
     write_json(out / "report.json", report.to_dict())
     return ["report.json"]
 
@@ -270,7 +272,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog=f"bolab {command}", add_help=True)
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="sweep workers of 'scaling'; other commands ignore it")
     parser.add_argument("--seed", type=int, default=None, help="eigensolver start-vector seed")
     try:
         args = parser.parse_args(argv[1:])

@@ -15,7 +15,9 @@ O(h^2) (the stencil underestimates kinetic energy), so that route is kept
 only as a cross-check utility.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dst
@@ -23,9 +25,9 @@ from scipy.fft import dst
 from .bo import (NuclearSolution, ProductState, adiabatic_residual,
                  assemble_product_state, solve_nuclear, t1_coupling_matrix)
 from .clamped import ElectronicField, HeavyReport, heavy_gap_report, scan_pes
-from .exact import (DEFAULT_SEED, assemble_full_hamiltonian, rayleigh_quotient,
-                    solve_exact)
-from .grid import Grid1D, GridFunction
+from .exact import (DEFAULT_SEED, FullHamiltonian, assemble_full_hamiltonian,
+                    rayleigh_quotient, solve_exact)
+from .grid import Grid1D, GridFunction, central_difference, second_difference
 from .model import ModelSpec, kappa
 from .projection import build_projector, solve_effective
 
@@ -45,9 +47,6 @@ class UncertaintyResult:
 
 # --------------------------------------------------------------------------
 # sine-basis moment machinery
-
-_MOMENT_CACHE: dict[tuple[int, float], "_SineMoments"] = {}
-
 
 class _SineMoments:
     """Closed-form moment matrices in the orthonormal Dirichlet sine basis.
@@ -86,11 +85,9 @@ class _SineMoments:
         self.QG = np.where(odd, (2.0 / np.pi) * (1.0 / summ + inv_d), 0.0) * self.q[None, :]
 
 
-def _moments_for(grid: Grid1D) -> _SineMoments:
-    key = (grid.n, grid.length)
-    if key not in _MOMENT_CACHE:
-        _MOMENT_CACHE[key] = _SineMoments(grid.n, grid.length)
-    return _MOMENT_CACHE[key]
+@lru_cache(maxsize=8)
+def _sine_moments(n: int, length: float) -> _SineMoments:
+    return _SineMoments(n, length)
 
 
 def _sine_coefficients(values: np.ndarray, h: float) -> np.ndarray:
@@ -104,7 +101,7 @@ def uncertainty_product(f: GridFunction, label: str = "") -> UncertaintyResult:
     """Position/momentum spread product of a pure state (interpolant moments)."""
     if abs(f.norm() - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"state must be normalized (norm = {f.norm()})")
-    sm = _moments_for(f.grid)
+    sm = _sine_moments(f.grid.n, f.grid.length)
     c = _sine_coefficients(f.values, f.grid.h)
     mean_u = float(np.real(np.vdot(c, sm.X1 @ c)))
     mean_u2 = float(np.real(np.vdot(c, sm.X2 @ c)))
@@ -128,15 +125,8 @@ def uncertainty_product_stencil(f: GridFunction, label: str = "") -> Uncertainty
     density = h * np.abs(v) ** 2
     mean_x = float(np.sum(x * density))
     mean_x2 = float(np.sum(x * x * density))
-    lap = np.zeros_like(v)
-    lap[1:-1] = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    lap[0] = v[1] - 2.0 * v[0]
-    lap[-1] = v[-2] - 2.0 * v[-1]
-    lap /= h * h
-    grad = np.zeros_like(v)
-    grad[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    grad[0] = v[1] / (2.0 * h)
-    grad[-1] = -v[-2] / (2.0 * h)
+    lap = second_difference(v, f.grid)
+    grad = central_difference(v, f.grid)
     mean_p2 = float(np.real(h * np.vdot(v, -lap)))
     mean_p = float(np.real(h * np.vdot(v, -1j * grad)))
     return _result(mean_x, mean_x2, mean_p, mean_p2, label)
@@ -155,7 +145,7 @@ def nuclear_uncertainty(state: ProductState, label: str = "") -> UncertaintyResu
     tr = float(np.real(h1 * np.trace(rho)))
     if abs(tr - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"product state must be normalized (trace = {tr})")
-    sm = _moments_for(state.grid1)
+    sm = _sine_moments(state.grid1.n, state.grid1.length)
     # operator matrix in the orthonormal sine basis: h1 * C rho C^T
     rho_s = _dst_both_axes(rho) * h1
     mean_u = float(np.real(np.trace(rho_s @ sm.X1)))
@@ -205,12 +195,8 @@ def nuclear_region(theta: GridFunction, widths: float = REGION_SIGMA) -> tuple[f
 def kinetic_expectation(theta: GridFunction, mass: float) -> float:
     """<theta| -(1/2 mass) d^2/dx^2 |theta> with the Dirichlet stencil."""
     v = theta.values
-    h = theta.grid.h
-    lap = np.zeros_like(v)
-    lap[1:-1] = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    lap[0] = v[1] - 2.0 * v[0]
-    lap[-1] = v[-2] - 2.0 * v[-1]
-    return float(np.real(h * np.vdot(v, -lap / (h * h)))) / (2.0 * mass)
+    lap = second_difference(v, theta.grid)
+    return float(np.real(theta.grid.h * np.vdot(v, -lap))) / (2.0 * mass)
 
 
 def t1_scale_candidates(sol: NuclearSolution, mass: float) -> dict[str, float]:
@@ -292,6 +278,7 @@ class SingleRunResult:
 
     spec: ModelSpec
     field: ElectronicField
+    hamiltonian: FullHamiltonian
     nuclear: dict
     product_states: list
     exact_energies: np.ndarray
@@ -306,8 +293,8 @@ class SingleRunResult:
 
 def run_pipeline(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
                  nuclear_levels: int = 2, region=None, t1_scale=None,
-                 threshold: float = 10.0, threads: int = 1,
-                 seed: int = DEFAULT_SEED, exact_k: int = 1) -> SingleRunResult:
+                 threshold: float = 10.0, seed: int = DEFAULT_SEED,
+                 exact_k: int = 1) -> SingleRunResult:
     """Scan, solve, assemble, and compare one model against the exact oracle.
 
     ``region`` and ``t1_scale`` default to values derived from the ground
@@ -315,7 +302,7 @@ def run_pipeline(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
     level spacing. All uncertainty products (theta levels, reduced heavy
     states of every assembled level, every scanned slice state) are checked.
     """
-    field = scan_pes(spec, grid1, grid2, A, threads=threads)
+    field = scan_pes(spec, grid1, grid2, A)
     sol0 = solve_nuclear(field, spec, 0, nuclear_levels)
     nuclear = {0: sol0}
     states = [assemble_product_state(sol0, field, n) for n in range(nuclear_levels)]
@@ -359,7 +346,7 @@ def run_pipeline(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
                      t1_candidates=t1_cands,
                      min_uncertainty_product=float(min_product),
                      residual_max=res_max, residual_mean=res_mean)
-    return SingleRunResult(spec=spec, field=field, nuclear=nuclear,
+    return SingleRunResult(spec=spec, field=field, hamiltonian=h, nuclear=nuclear,
                            product_states=states, exact_energies=exact.energies,
                            rayleigh=rq, heavy=heavy, t1_candidates=t1_cands,
                            uncertainty=uncertainty, min_uncertainty_product=min_product,
@@ -381,34 +368,22 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
     ratio * m per row. The ratios must be ascending. The per-row heavy region
     and kinetic scale are re-derived from each row's nuclear ground state.
     The compressed-spectrum summary at rank N is attached for the final
-    (largest) ratio.
+    (largest) ratio. Rows run on ``threads`` workers and are collected in
+    ratio order, so the report is identical for any worker count.
     """
     ratios = [float(r) for r in mass_ratios]
     if sorted(ratios) != ratios:
         raise ValueError("mass_ratios must be ascending")
 
-    def run_row(ratio):
-        # each sweep point is independent; inner scans stay serial when the
-        # points themselves run on the pool
-        return run_pipeline(spec.with_mass_ratio(ratio), grid1, grid2, A,
-                            nuclear_levels=nuclear_levels, threshold=threshold,
-                            threads=1, seed=seed)
-
     results = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(ratio, pool.submit(run_row, ratio)) for ratio in ratios]
-            for ratio, future in futures:  # ordered aggregation
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    raise RuntimeError(f"pipeline failed at mass ratio {ratio}: {exc}") from exc
-    else:
-        for ratio in ratios:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [(ratio, pool.submit(run_pipeline, spec.with_mass_ratio(ratio), grid1, grid2, A,
+                                       nuclear_levels=nuclear_levels, threshold=threshold,
+                                       seed=seed))
+                   for ratio in ratios]
+        for ratio, future in futures:
             try:
-                results.append(run_row(ratio))
+                results.append(future.result())
             except Exception as exc:
                 raise RuntimeError(f"pipeline failed at mass ratio {ratio}: {exc}") from exc
 
@@ -419,8 +394,7 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
         logs_e = np.log([max(r.relative_error, 1e-300) for r in rows])
         slope = float(np.polyfit(logs_k, logs_e, 1)[0])
     last = results[-1]
-    h_last = assemble_full_hamiltonian(last.spec, grid1, grid2)
-    eff = solve_effective(build_projector(last.field, N), h_last, k=1)
+    eff = solve_effective(build_projector(last.field, N), last.hamiltonian, k=1)
     heff = {"ranks": [N], "lowest": [float(eff.energies[0])],
             "gap_to_exact": float(eff.energies[0] - last.exact_energies[0])}
     return ComparisonReport(model=_model_dict(spec), mass_ratios=ratios, rows=rows,
@@ -430,15 +404,14 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
 
 def compare_report(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, N: int,
                    nuclear_levels: int = 2, region=None, t1_scale=None,
-                   threshold: float = 10.0, threads: int = 1,
-                   seed: int = DEFAULT_SEED, exact_k: int = 1) -> ComparisonReport:
+                   threshold: float = 10.0, seed: int = DEFAULT_SEED,
+                   exact_k: int = 1) -> ComparisonReport:
     """Single-model consolidated report: oracle comparison, projection drift,
     heavy-kinetic coupling summary, residuals, uncertainty suite."""
     result = run_pipeline(spec, grid1, grid2, A, nuclear_levels=nuclear_levels,
                           region=region, t1_scale=t1_scale, threshold=threshold,
-                          threads=threads, seed=seed, exact_k=exact_k)
-    field = result.field
-    h = assemble_full_hamiltonian(spec, grid1, grid2)
+                          seed=seed, exact_k=exact_k)
+    field, h = result.field, result.hamiltonian
 
     # compressed-spectrum drift as the retained rank grows
     ranks = list(range(1, N + 1))

@@ -9,14 +9,13 @@ pieces, dense below a size threshold and shift-invert Lanczos above it.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
-from .grid import Grid1D
+from .grid import Grid1D, second_difference, stencil_diagonals
 from .model import ModelSpec, evaluate_potential
 
 DENSE_LIMIT = 4096          # largest product dimension solved by dense eigh
@@ -53,31 +52,23 @@ class FullHamiltonian:
         if a.shape != (self.grid1.n, self.grid2.n):
             raise ValueError(f"amplitudes shape {a.shape} does not match product grid")
         out = self.potential_grid * a
-        out -= _stencil_rows(a, self.grid1.h) / (2.0 * self.mass1)
-        out -= _stencil_rows(a.T, self.grid2.h).T / (2.0 * self.mass2)
+        out -= second_difference(a, self.grid1) / (2.0 * self.mass1)
+        out -= second_difference(a.T, self.grid2).T / (2.0 * self.mass2)
         return out
 
-    @cached_property
+    @property
     def as_sparse(self) -> sp.csc_matrix:
-        n1, n2 = self.grid1.n, self.grid2.n
-        t1 = -_laplacian_sparse(n1, self.grid1.h) / (2.0 * self.mass1)
-        t2 = -_laplacian_sparse(n2, self.grid2.h) / (2.0 * self.mass2)
-        h = (sp.kron(t1, sp.identity(n2)) + sp.kron(sp.identity(n1), t2)
+        """Sparse assembly of the same operator; built afresh on every access."""
+        t1 = _kinetic_sparse(self.grid1, self.mass1)
+        t2 = _kinetic_sparse(self.grid2, self.mass2)
+        h = (sp.kron(t1, sp.identity(self.grid2.n)) + sp.kron(sp.identity(self.grid1.n), t2)
              + sp.diags(self.potential_grid.ravel()))
         return h.tocsc()
 
 
-def _stencil_rows(a: np.ndarray, h: float) -> np.ndarray:
-    """Dirichlet 3-point second difference along axis 0."""
-    out = -2.0 * a.copy()
-    out[1:] += a[:-1]
-    out[:-1] += a[1:]
-    return out / (h * h)
-
-
-def _laplacian_sparse(n: int, h: float) -> sp.dia_matrix:
-    e = np.full(n - 1, 1.0 / (h * h))
-    return sp.diags([e, np.full(n, -2.0 / (h * h)), e], [-1, 0, 1])
+def _kinetic_sparse(grid: Grid1D, mass: float) -> sp.dia_matrix:
+    d, e = stencil_diagonals(grid)
+    return -sp.diags([e, d, e], [-1, 0, 1]) / (2.0 * mass)
 
 
 def assemble_full_hamiltonian(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D) -> FullHamiltonian:

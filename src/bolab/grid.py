@@ -3,8 +3,9 @@
 Everything downstream (clamped scans, nuclear solves, the product-grid
 Hamiltonian) is assembled from the pieces defined here: a uniform
 discretization of an interval with hard-wall boundaries, the 3-point
-second-derivative matrix, and the h-weighted inner product that makes
-sampled wavefunctions behave like L2 vectors.
+Dirichlet stencil (axis-0 applies, tridiagonal diagonals, dense matrices),
+and the h-weighted inner product that makes sampled wavefunctions behave
+like L2 vectors. No other module writes the stencil out.
 
 Units are hbar = 1 throughout; one coordinate per particle.
 """
@@ -79,28 +80,50 @@ class GridFunction:
         return GridFunction(self.grid, self.values / nrm)
 
 
-def second_derivative_matrix(grid: Grid1D) -> np.ndarray:
-    """Dense symmetric 3-point d^2/dx^2 with Dirichlet closure.
+def second_difference(a: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Dirichlet 3-point d^2/dx^2 applied along axis 0 (zero beyond both walls).
 
-    Diagonal -2/h^2, off-diagonals 1/h^2. Exactly symmetric by construction.
+    Row i is ``((-2 a_i + a_{i-1}) + a_{i+1}) / h^2``. Keep this summation
+    order: the Rayleigh quotients written to the artifacts are pinned to it.
     """
-    h2 = grid.h * grid.h
-    d = np.full(grid.n, -2.0 / h2)
-    e = np.full(grid.n - 1, 1.0 / h2)
-    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    out = -2.0 * a
+    out[1:] += a[:-1]
+    out[:-1] += a[1:]
+    return out / (grid.h * grid.h)
+
+
+def central_difference(a: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Dirichlet central-difference d/dx applied along axis 0 (zero beyond both walls)."""
+    out = np.zeros_like(a, dtype=np.result_type(a, 1.0))
+    out[:-1] += a[1:]
+    out[1:] -= a[:-1]
+    return out / (2.0 * grid.h)
+
+
+def second_derivative_matrix(grid: Grid1D) -> np.ndarray:
+    """Dense symmetric 3-point d^2/dx^2: diagonal -2/h^2, off-diagonals 1/h^2."""
+    return second_difference(np.eye(grid.n), grid)
+
+
+def first_derivative_matrix(grid: Grid1D) -> np.ndarray:
+    """Dense central-difference d/dx; exactly antisymmetric."""
+    return central_difference(np.eye(grid.n), grid)
 
 
 def stencil_diagonals(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, off-diagonal) of second_derivative_matrix, for tridiagonal solvers."""
+    """(diagonal, off-diagonal) of second_derivative_matrix, for banded assemblies."""
     h2 = grid.h * grid.h
     return np.full(grid.n, -2.0 / h2), np.full(grid.n - 1, 1.0 / h2)
 
 
-def first_derivative_matrix(grid: Grid1D) -> np.ndarray:
-    """Central-difference d/dx with Dirichlet closure; exactly antisymmetric."""
-    c = 1.0 / (2.0 * grid.h)
-    e = np.full(grid.n - 1, c)
-    return np.diag(e, 1) - np.diag(e, -1)
+def kinetic_diagonals(grid: Grid1D, mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of -(1/2 mass) d^2/dx^2, for tridiagonal solvers.
+
+    Built as ``2 kin`` and ``-kin`` with ``kin = 1/(2 mass h^2)``; the slice
+    and nuclear spectra are pinned to this rounding.
+    """
+    kin = 1.0 / (2.0 * mass * grid.h * grid.h)
+    return np.full(grid.n, 2.0 * kin), np.full(grid.n - 1, -kin)
 
 
 def dirichlet_laplacian_eigenvalues(grid: Grid1D) -> np.ndarray:

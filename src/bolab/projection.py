@@ -22,6 +22,7 @@ from scipy.linalg import eigh
 
 from .clamped import ElectronicField
 from .exact import FullHamiltonian
+from .grid import kinetic_diagonals
 
 
 @dataclass
@@ -64,15 +65,15 @@ def effective_matrix(p: Projector, h: FullHamiltonian) -> np.ndarray:
     if field.grid1 != h.grid1 or field.grid2 != h.grid2:
         raise ValueError("projector and Hamiltonian live on different grids")
     N, n1 = p.rank, field.grid1.n
-    h1, h2 = field.grid1.h, field.grid2.h
-    kin = 1.0 / (h.mass1 * h1 * h1)
+    h2 = field.grid2.h
+    kin_diag, kin_off = kinetic_diagonals(field.grid1, h.mass1)
     out = np.zeros((N * n1, N * n1))
     for i in range(n1):
         sl = slice(i * N, (i + 1) * N)
-        out[sl, sl] = np.diag(field.energies[:N, i]) + kin * np.eye(N)
+        out[sl, sl] = np.diag(field.energies[:N, i]) + kin_diag[i] * np.eye(N)
     for i in range(n1 - 1):
         overlap = h2 * field.states[:N, i, :] @ field.states[:N, i + 1, :].T
-        block = -0.5 * kin * overlap
+        block = kin_off[i] * overlap
         out[i * N:(i + 1) * N, (i + 1) * N:(i + 2) * N] = block
         out[(i + 1) * N:(i + 2) * N, i * N:(i + 1) * N] = block.T
     return out

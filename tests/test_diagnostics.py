@@ -11,6 +11,7 @@ from bolab.diagnostics import (UNCERTAINTY_SLACK, compare_report, kappa_scaling_
                                run_pipeline, slice_uncertainty_products,
                                t1_scale_candidates, uncertainty_product,
                                uncertainty_product_stencil)
+from bolab.exact import assemble_full_hamiltonian
 from bolab.grid import GridFunction, build_grid
 from bolab.model import HarmonicCoupling, ModelSpec
 from bolab.serialize import dumps
@@ -147,7 +148,8 @@ def test_sweep_requires_ascending_ratios():
         kappa_scaling_study(spec, [100.0, 10.0], g1, g2, A=2)
 
 
-def test_sweep_failure_names_offending_ratio(monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_failure_names_offending_ratio(monkeypatch, threads):
     import bolab.diagnostics as diag
 
     def explode(*args, **kwargs):
@@ -158,7 +160,28 @@ def test_sweep_failure_names_offending_ratio(monkeypatch):
     g1 = build_grid(-2.4, 2.4, 16)
     g2 = build_grid(-8.5, 8.5, 16)
     with pytest.raises(RuntimeError, match="mass ratio 10"):
-        kappa_scaling_study(spec, [10.0, 100.0], g1, g2, A=2)
+        kappa_scaling_study(spec, [10.0, 100.0], g1, g2, A=2, threads=threads)
+
+
+def test_one_hamiltonian_per_pipeline_pass(monkeypatch):
+    import bolab.diagnostics as diag
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble_full_hamiltonian(*args, **kwargs)
+
+    monkeypatch.setattr(diag, "assemble_full_hamiltonian", counting)
+    spec = ModelSpec(M=10.0, m=1.0, potential=HarmonicCoupling(1.0, 1.0))
+    g1 = build_grid(-2.4, 2.4, 16)
+    g2 = build_grid(-8.5, 8.5, 16)
+    compare_report(spec, g1, g2, A=2, N=2)
+    assert len(calls) == 1
+    calls.clear()
+    ratios = [10.0, 100.0]
+    kappa_scaling_study(spec, ratios, g1, g2, A=2, threads=2)
+    assert len(calls) == len(ratios)
 
 
 def test_equal_mass_control_case():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bolab.grid import (GridFunction, build_grid, dirichlet_laplacian_eigenvalues,
-                        first_derivative_matrix, inner_product,
-                        second_derivative_matrix, stencil_diagonals)
+from bolab.grid import (GridFunction, build_grid, central_difference,
+                        dirichlet_laplacian_eigenvalues, first_derivative_matrix,
+                        inner_product, kinetic_diagonals, second_derivative_matrix,
+                        second_difference, stencil_diagonals)
 
 
 def test_spacing_from_definition():
@@ -118,3 +119,23 @@ def test_gridfunction_shape_check():
 def test_first_derivative_antisymmetric():
     m = first_derivative_matrix(build_grid(-1.0, 1.0, 20))
     assert np.array_equal(m, -m.T)
+
+
+def test_axis0_applies_match_dense_matrices_column_by_column():
+    g = build_grid(-2.0, 3.0, 24)
+    a = np.random.default_rng(5).standard_normal((g.n, 3))
+    d2, d1 = second_difference(a, g), central_difference(a, g)
+    m2, m1 = second_derivative_matrix(g), first_derivative_matrix(g)
+    assert np.all(np.diag(m1, 1) == 1.0 / (2.0 * g.h)) and np.count_nonzero(m1) == 2 * (g.n - 1)
+    for j in range(a.shape[1]):
+        assert np.allclose(d2[:, j], m2 @ a[:, j], rtol=0, atol=1e-12)
+        assert np.allclose(d1[:, j], m1 @ a[:, j], rtol=0, atol=1e-12)
+
+
+def test_kinetic_diagonals_are_scaled_stencil():
+    g = build_grid(-0.65, 0.65, 40)
+    mass = 2000.0
+    diag, off = kinetic_diagonals(g, mass)
+    d, e = stencil_diagonals(g)
+    assert np.allclose(diag, -d / (2.0 * mass), rtol=1e-15, atol=0)
+    assert np.allclose(off, -e / (2.0 * mass), rtol=1e-15, atol=0)

@@ -102,14 +102,16 @@ def test_scaling_without_sweep_exits_2(tmp_path):
     assert _run("scaling", CONFIG_DIR / "separable.json", tmp_path) == 2
 
 
-def test_single_surface_compare_exits_2(tmp_path):
-    # the gap report needs two surfaces; a one-surface compare is a config error
+@pytest.mark.parametrize("command", ["compare", "scaling"])
+def test_single_surface_compare_exits_2(tmp_path, command):
+    # the gap report needs two surfaces; a one-surface run is a config error
     cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
     cfg["n_surfaces"] = 1
     cfg["projector_rank"] = 1
+    cfg["sweep"] = [10.0, 100.0]
     path = tmp_path / "one.json"
     path.write_text(json.dumps(cfg))
-    assert _run("compare", path, tmp_path) == 2
+    assert _run(command, path, tmp_path) == 2
 
 
 def test_help_exits_0(capsys):

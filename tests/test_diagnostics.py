@@ -1,6 +1,7 @@
 """Uncertainty products, the scaling sweep, and report assembly."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,10 +98,36 @@ def test_nuclear_reduced_state_of_separable_is_pure(separable_run):
     assert mixed.sigma_x == pytest.approx(pure.sigma_x, abs=1e-10)
 
 
+def test_nuclear_uncertainty_of_complex_state(harmonic2000):
+    # a heavy-coordinate phase exp(i k x1) shifts only the mean momentum; the
+    # interpolant of the boosted samples drifts like k^2, so k stays small
+    state = harmonic2000.product_states[0]
+    x1 = state.grid1.points
+    boosted = replace(state, amplitudes=state.amplitudes * np.exp(1j * 5.0 * x1)[:, None])
+    real, cplx = nuclear_uncertainty(state), nuclear_uncertainty(boosted)
+    assert cplx.sigma_x == pytest.approx(real.sigma_x, abs=1e-10)
+    assert cplx.sigma_p == pytest.approx(real.sigma_p, abs=1e-10)
+    assert cplx.product == pytest.approx(real.product, abs=1e-10)
+
+
 def test_slice_products_bounded(harmonic2000):
-    products = slice_uncertainty_products(harmonic2000.field)
-    assert products.shape == (3, harmonic2000.field.grid1.n)
+    field = harmonic2000.field
+    products = slice_uncertainty_products(field)
+    assert products.shape == (3, field.grid1.n)
     assert np.all(products >= 0.5 - UNCERTAINTY_SLACK)
+    # the batched suite against the single-state route, slice by slice
+    for a in range(field.n_surfaces):
+        for i in range(field.grid1.n):
+            single = uncertainty_product(field.state(a, i)).product
+            assert products[a, i] == pytest.approx(single, rel=1e-12)
+    with pytest.raises(ValueError):
+        slice_uncertainty_products(replace(field, states=2.0 * field.states))
+
+
+def test_slice_min_tie_break(separable_run):
+    # separable slice states are identical, so their products tie at round-off;
+    # the report names the first near-minimal slice in row-major order
+    assert separable_run.uncertainty[-1].label == "slice_min[a=0,i=0]"
 
 
 def test_nuclear_region_matches_gaussian_width(harmonic2000, harmonic2000_setup):

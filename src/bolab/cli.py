@@ -67,6 +67,20 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _convert(kind, value, name: str):
+    """kind(value); a value of the wrong type or out of range is a ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def load_config(path: str) -> RunConfig:
     import json
 
@@ -78,42 +92,45 @@ def load_config(path: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
 
+    data = _object(data, "config")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
 
     try:
-        model_data = _require(data, "model", "config")
-        spec = ModelSpec(M=float(_require(model_data, "M", "model")),
-                         m=float(_require(model_data, "m", "model")),
+        model_data = _object(_require(data, "model", "config"), "model")
+        spec = ModelSpec(M=_convert(float, _require(model_data, "M", "model"), "model.M"),
+                         m=_convert(float, _require(model_data, "m", "model"), "model.m"),
                          potential=potential_from_dict(_require(model_data, "potential", "model")))
-        g1 = _grid_from(_require(data, "grid1", "config"), "grid1")
-        g2 = _grid_from(_require(data, "grid2", "config"), "grid2")
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
+    g1 = _grid_from(_require(data, "grid1", "config"), "grid1")
+    g2 = _grid_from(_require(data, "grid2", "config"), "grid2")
 
-    heavy = data.get("heavy", {})
+    heavy = _object(data.get("heavy", {}), "heavy")
     region = heavy.get("region", "auto")
     if region != "auto":
         if (not isinstance(region, (list, tuple))) or len(region) != 2:
             raise ConfigError("heavy.region must be \"auto\" or a [alpha, beta] pair")
-        region = (float(region[0]), float(region[1]))
+        region = tuple(_convert(float, r, "heavy.region") for r in region)
     t1 = heavy.get("t1_scale", "auto")
     if t1 != "auto":
-        t1 = float(t1)
+        t1 = _convert(float, t1, "heavy.t1_scale")
         if t1 <= 0:
             raise ConfigError("heavy.t1_scale must be positive")
 
     sweep = data.get("sweep")
     if sweep is not None:
-        sweep = [float(r) for r in sweep]
+        if not isinstance(sweep, list):
+            raise ConfigError("sweep must be a list of mass ratios")
+        sweep = [_convert(float, r, "sweep") for r in sweep]
         if sweep != sorted(sweep):
             raise ConfigError("sweep mass ratios must be ascending")
 
     def positive_int(key, default):
-        value = int(data.get(key, default))
+        value = _convert(int, data.get(key, default), key)
         if value < 1:
             raise ConfigError(f"{key} must be a positive count")
         return value
@@ -125,10 +142,10 @@ def load_config(path: str) -> RunConfig:
         nuclear_levels=positive_int("nuclear_levels", 2),
         exact_k=positive_int("exact_k", 1),
         heavy_region=region, heavy_t1_scale=t1,
-        heavy_threshold=float(heavy.get("ratio_threshold", 10.0)),
+        heavy_threshold=_convert(float, heavy.get("ratio_threshold", 10.0), "heavy.ratio_threshold"),
         sweep=sweep,
-        output_dir=Path(data.get("output_dir", "out")),
-        seed=int(data.get("seed", DEFAULT_SEED)),
+        output_dir=_convert(Path, data.get("output_dir", "out"), "output_dir"),
+        seed=_convert(int, data.get("seed", DEFAULT_SEED), "seed"),
         threads=positive_int("threads", 1),
     )
     if cfg.n_surfaces > g2.n:
@@ -142,11 +159,12 @@ def load_config(path: str) -> RunConfig:
     return cfg
 
 
-def _grid_from(data: dict, name: str) -> Grid1D:
+def _grid_from(data, name: str) -> Grid1D:
+    data = _object(data, name)
+    x_min, x_max, n = (_convert(kind, _require(data, key, name), f"{name}.{key}")
+                       for kind, key in ((float, "x_min"), (float, "x_max"), (int, "n")))
     try:
-        return build_grid(float(_require(data, "x_min", name)),
-                          float(_require(data, "x_max", name)),
-                          int(_require(data, "n", name)))
+        return build_grid(x_min, x_max, n)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 

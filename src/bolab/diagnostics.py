@@ -10,9 +10,10 @@ which is a genuine square-integrable function, so sigma_x * sigma_p >= 1/2
 holds for it exactly (mixed states included) and any measured product sits
 above the bound up to round-off. Moments of F reduce to small closed-form
 matrices in the sine coefficients. One kernel evaluates them for a batch of
-grid vectors (one DST along the grid axis, then one matrix product per
-moment); a pure state is one column, a reduced heavy state the h2-weighted
-sum over its amplitude columns, and the slice states of a surface one batch.
+grid vectors (one sine-transform matmul along the grid axis, then one
+matrix product per moment); a pure state is one column, a reduced heavy
+state the h2-weighted sum over its amplitude columns, and the slice states
+of a surface one batch.
 By contrast, second moments built from the 3-point stencil on a discrete
 eigenstate land *below* the bound by O(h^2) (the stencil underestimates
 kinetic energy), so that route is kept only as a cross-check utility.
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dst
 
 from .bo import (NuclearSolution, ProductState, adiabatic_residual,
                  assemble_product_state, solve_nuclear, t1_coupling_matrix)
@@ -63,12 +63,16 @@ class _SineMoments:
     where G[k,l] = (2/pi)(1/(k+l) + 1/(k-l)) on odd k-l and zero otherwise.
     The momentum operator -i d/du then has matrix P = -i QG; it is Hermitian
     (QG is antisymmetric), so real states get exactly zero mean momentum.
+    S is the orthonormal DST-I matrix taking grid values to sine coefficients;
+    a dense matmul beats an FFT of length 2(n+1) at these sizes. Its sine
+    arguments are reduced mod 2(n+1) in integers, so they stay exact.
     """
 
     def __init__(self, n: int, length: float):
         k = np.arange(1, n + 1)
         self.q = k * np.pi / length
         K, L = np.meshgrid(k, k, indexing="ij")
+        self.S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * ((K * L) % (2 * (n + 1))) / (n + 1))
         diff = (K - L).astype(float)
         summ = (K + L).astype(float)
         odd = (K - L) % 2 != 0
@@ -97,7 +101,7 @@ def _column_moments(values: np.ndarray, grid: Grid1D):
     imag(c^H QG c), which is exactly zero for real columns.
     """
     sm = _sine_moments(grid.n, grid.length)
-    c = np.sqrt(grid.h) * dst(values, type=1, norm="ortho", axis=0)
+    c = np.sqrt(grid.h) * (sm.S @ values)
     cc = np.conj(c)
     mean_u = np.real(np.sum(cc * (sm.X1 @ c), axis=0))
     mean_u2 = np.real(np.sum(cc * (sm.X2 @ c), axis=0))

@@ -82,18 +82,22 @@ def test_criterion_4_uncertainty_suite(harmonic2000, separable_run):
 
 def test_criterion_5_variational_invariant(harmonic2000, harmonic2000_setup,
                                            separable_run, separable_setup, sweep_report):
+    # E_BO (no Born-Huang term) <= E_exact <= Rayleigh quotient of every product state
     count = 0
     for run, setup in ((harmonic2000, harmonic2000_setup), (separable_run, separable_setup)):
         spec, g1, g2 = setup
         h = assemble_full_hamiltonian(spec, g1, g2)
         e0 = run.exact_energies[0]
+        assert run.row.bo_energy <= e0 + 1e-10 * abs(e0)
         for state in run.product_states:
             assert rayleigh_quotient(h, state.amplitudes) >= e0 - 1e-10 * abs(e0)
             count += 1
     for row in sweep_report.rows:
-        assert row.rayleigh_quotient >= row.exact_energy - 1e-10 * abs(row.exact_energy)
+        tol = 1e-10 * abs(row.exact_energy)
+        assert row.bo_energy <= row.exact_energy + tol
+        assert row.rayleigh_quotient >= row.exact_energy - tol
         count += 1
-    _ok(5, f"{count} product states all above the exact ground energy")
+    _ok(5, f"{count} product states above the exact ground energy, every BO energy below it")
 
 
 def test_criterion_6_projection_facts(harmonic2000, harmonic2000_setup):

@@ -114,6 +114,25 @@ def test_single_surface_compare_exits_2(tmp_path, command):
     assert _run(command, path, tmp_path) == 2
 
 
+@pytest.mark.parametrize("edit", [
+    lambda cfg: [cfg],
+    lambda cfg: {**cfg, "heavy": []},
+    lambda cfg: {**cfg, "seed": None},
+    lambda cfg: {**cfg, "heavy": {"t1_scale": None}},
+    lambda cfg: {**cfg, "sweep": 5},
+    lambda cfg: {**cfg, "exact_k": 1e400},
+], ids=["top_level_list", "heavy_list", "seed_null", "t1_scale_null", "sweep_number",
+        "exact_k_overflow"])
+def test_malformed_config_exits_2(tmp_path, capsys, edit):
+    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
+    path = tmp_path / "bad.json"
+    # json writes float("inf") as Infinity; spell the overflow case as a numeric literal
+    path.write_text(json.dumps(edit(cfg)).replace("Infinity", "1e400"))
+    assert _run("pes", path, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out

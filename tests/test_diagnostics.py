@@ -1,21 +1,26 @@
 """Uncertainty products, the scaling sweep, and report assembly."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.fft import dst
 from scipy.linalg import eigh_tridiagonal
 
-from bolab.diagnostics import (UNCERTAINTY_SLACK, compare_report, kappa_scaling_study,
-                               kinetic_expectation, nuclear_region, nuclear_uncertainty,
-                               run_pipeline, slice_uncertainty_products,
+from bolab.diagnostics import (UNCERTAINTY_SLACK, _sine_moments, compare_report,
+                               kappa_scaling_study, kinetic_expectation, nuclear_region,
+                               nuclear_uncertainty, run_pipeline, slice_uncertainty_products,
                                t1_scale_candidates, uncertainty_product,
                                uncertainty_product_stencil)
 from bolab.exact import assemble_full_hamiltonian
 from bolab.grid import GridFunction, build_grid
 from bolab.model import HarmonicCoupling, ModelSpec
 from bolab.serialize import dumps
+from tests.conftest import REPO
 
 
 def _oscillator_state(n_points, box, level, mass=1.0, omega=1.0):
@@ -128,6 +133,26 @@ def test_slice_min_tie_break(separable_run):
     # separable slice states are identical, so their products tie at round-off;
     # the report names the first near-minimal slice in row-major order
     assert separable_run.uncertainty[-1].label == "slice_min[a=0,i=0]"
+
+
+@pytest.mark.parametrize("n", [8, 192, 255, 256])
+def test_dense_sine_transform_matches_dst(n):
+    # the cached matrix is the orthonormal DST-I, an involution
+    S = _sine_moments(n, 3.0).S
+    v = np.random.default_rng(n).standard_normal((n, 5))
+    ref = dst(v, type=1, norm="ortho", axis=0)
+    assert np.max(np.abs(S @ v - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.allclose(S @ S, np.eye(n), rtol=0.0, atol=1e-13)
+
+
+def test_import_does_not_load_scipy_fft():
+    src = str(REPO / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import bolab, sys; assert 'scipy.fft' not in sys.modules"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_nuclear_region_matches_gaussian_width(harmonic2000, harmonic2000_setup):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from bolab.exact import (assemble_full_hamiltonian, product_inner,
-                         rayleigh_quotient, solve_exact)
+from bolab.bo import solve_nuclear
+from bolab.clamped import scan_pes
+from bolab.exact import (DENSE_LIMIT, _bo_lower_bound, _ncv, assemble_full_hamiltonian,
+                         product_inner, rayleigh_quotient, solve_exact)
 from bolab.grid import build_grid, stencil_diagonals
 from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic,
                          analytic_normal_modes)
@@ -148,3 +150,62 @@ def test_rayleigh_quotient_of_eigenstate(harmonic2000, harmonic2000_setup):
     h = assemble_full_hamiltonian(spec, g1, g2)
     sol = solve_exact(h, 1)
     assert rayleigh_quotient(h, sol.states[0]) == pytest.approx(sol.energies[0], abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def soft_coulomb_oracle(soft_coulomb_setup):
+    # the bundled soft_coulomb config grids: shift-invert path, k = 2
+    spec = soft_coulomb_setup
+    g1 = build_grid(-1.6, 1.6, 96)
+    g2 = build_grid(-10.0, 10.0, 192)
+    h = assemble_full_hamiltonian(spec, g1, g2)
+    bo_energy = solve_nuclear(scan_pes(spec, g1, g2, 1), spec, 0, 1).energies[0]
+    return h, bo_energy, solve_exact(h, 2).energies
+
+
+def _oracle_cases(harmonic2000, separable_run, soft_coulomb_oracle):
+    yield harmonic2000.hamiltonian, harmonic2000.row.bo_energy, harmonic2000.exact_energies
+    yield separable_run.hamiltonian, separable_run.row.bo_energy, separable_run.exact_energies
+    yield soft_coulomb_oracle
+
+
+def test_bo_lower_bound_sits_below_the_exact_ground_energy(harmonic2000, separable_run,
+                                                           soft_coulomb_oracle):
+    for h, _, exact in _oracle_cases(harmonic2000, separable_run, soft_coulomb_oracle):
+        assert h.dim > DENSE_LIMIT
+        assert _bo_lower_bound(h) <= exact[0]
+
+
+def test_bo_lower_bound_is_the_pipeline_bo_energy(harmonic2000, separable_run,
+                                                  soft_coulomb_oracle):
+    # built from H alone, it reproduces scan_pes + solve_nuclear on surface 0
+    for h, bo_energy, _ in _oracle_cases(harmonic2000, separable_run, soft_coulomb_oracle):
+        assert _bo_lower_bound(h) == pytest.approx(bo_energy, rel=1e-12)
+
+
+def test_bo_lower_bound_is_exact_for_a_separable_potential(separable_run):
+    # the tightest case: the shift sits only 1e-6 |E| below E_0
+    e0 = separable_run.exact_energies[0]
+    assert abs(_bo_lower_bound(separable_run.hamiltonian) - e0) <= 1e-10 * abs(e0)
+
+
+def test_shift_invert_takes_one_lanczos_pass_for_every_seed(harmonic2000, monkeypatch):
+    # k=3 is the first k where ARPACK's default basis needed a restart for
+    # some start vectors; every seed should cost the same ncv + 1 solves.
+    arpack = pytest.importorskip("scipy.sparse.linalg._eigen.arpack.arpack")
+    solves = []
+    factorize = arpack.get_OPinv_matvec
+
+    def counted(*args, **kwargs):
+        matvec = factorize(*args, **kwargs)
+
+        def solve(x):
+            solves[-1] += 1
+            return matvec(x)
+        return solve
+
+    monkeypatch.setattr(arpack, "get_OPinv_matvec", counted)
+    for seed in range(8):
+        solves.append(0)
+        solve_exact(harmonic2000.hamiltonian, 3, seed=seed)
+    assert solves == [_ncv(3) + 1] * 8

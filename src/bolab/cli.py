@@ -16,11 +16,13 @@ sweep workers of ``scaling``; other commands ignore it.
 
 Exit codes: 0 success, 1 unknown command / usage, 2 config error,
 3 solver failure. Flags override BO_LAB_* environment variables, which
-override config-file values. Identical configs produce byte-identical
-files for any --threads value.
+override config-file values; all three go through the same checks
+(threads >= 1, seed >= 0), and a non-finite number is a config error.
+Identical configs produce byte-identical files for any --threads value.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -52,8 +54,8 @@ class RunConfig:
     projector_rank: int
     nuclear_levels: int
     exact_k: int
-    heavy_region: object        # (alpha, beta) or "auto"
-    heavy_t1_scale: object      # float or "auto"
+    heavy_region: tuple | None      # None: derived from the nuclear ground state
+    heavy_t1_scale: float | None    # None: the first nuclear level spacing
     heavy_threshold: float
     sweep: list | None
     output_dir: Path
@@ -74,14 +76,23 @@ def _object(value, context: str) -> dict:
 
 
 def _convert(kind, value, name: str):
-    """kind(value); a value of the wrong type or out of range is a ConfigError naming the field."""
+    """kind(value); a value of the wrong type, out of range or non-finite is a ConfigError naming the field."""
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+    if isinstance(out, float) and not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite, not {out}")
+    return out
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides: dict | None = None) -> RunConfig:
+    """Read and validate a run configuration.
+
+    ``overrides`` maps top-level keys (``output_dir``, ``threads``, ``seed``)
+    to values from the environment or the command line; they replace the
+    file's values before validation, so every source is checked the same way.
+    """
     import json
 
     try:
@@ -92,7 +103,7 @@ def load_config(path: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
 
-    data = _object(data, "config")
+    data = {**_object(data, "config"), **(overrides or {})}
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
@@ -110,14 +121,14 @@ def load_config(path: str) -> RunConfig:
     g2 = _grid_from(_require(data, "grid2", "config"), "grid2")
 
     heavy = _object(data.get("heavy", {}), "heavy")
-    region = heavy.get("region", "auto")
-    if region != "auto":
+    region = t1 = None
+    if heavy.get("region", "auto") != "auto":
+        region = heavy["region"]
         if (not isinstance(region, (list, tuple))) or len(region) != 2:
             raise ConfigError("heavy.region must be \"auto\" or a [alpha, beta] pair")
         region = tuple(_convert(float, r, "heavy.region") for r in region)
-    t1 = heavy.get("t1_scale", "auto")
-    if t1 != "auto":
-        t1 = _convert(float, t1, "heavy.t1_scale")
+    if heavy.get("t1_scale", "auto") != "auto":
+        t1 = _convert(float, heavy["t1_scale"], "heavy.t1_scale")
         if t1 <= 0:
             raise ConfigError("heavy.t1_scale must be positive")
 
@@ -129,24 +140,24 @@ def load_config(path: str) -> RunConfig:
         if sweep != sorted(sweep):
             raise ConfigError("sweep mass ratios must be ascending")
 
-    def positive_int(key, default):
+    def integer(key, default, least=1):
         value = _convert(int, data.get(key, default), key)
-        if value < 1:
-            raise ConfigError(f"{key} must be a positive count")
+        if value < least:
+            raise ConfigError(f"{key} must be >= {least}, not {value}")
         return value
 
     cfg = RunConfig(
         model=spec, grid1=g1, grid2=g2,
-        n_surfaces=positive_int("n_surfaces", 2),
-        projector_rank=positive_int("projector_rank", 1),
-        nuclear_levels=positive_int("nuclear_levels", 2),
-        exact_k=positive_int("exact_k", 1),
+        n_surfaces=integer("n_surfaces", 2),
+        projector_rank=integer("projector_rank", 1),
+        nuclear_levels=integer("nuclear_levels", 2),
+        exact_k=integer("exact_k", 1),
         heavy_region=region, heavy_t1_scale=t1,
         heavy_threshold=_convert(float, heavy.get("ratio_threshold", 10.0), "heavy.ratio_threshold"),
         sweep=sweep,
         output_dir=_convert(Path, data.get("output_dir", "out"), "output_dir"),
-        seed=_convert(int, data.get("seed", DEFAULT_SEED), "seed"),
-        threads=positive_int("threads", 1),
+        seed=integer("seed", DEFAULT_SEED, least=0),
+        threads=integer("threads", 1),
     )
     if cfg.n_surfaces > g2.n:
         raise ConfigError("n_surfaces cannot exceed grid2.n")
@@ -171,12 +182,6 @@ def _grid_from(data, name: str) -> Grid1D:
 
 def _grid_dict(g: Grid1D) -> dict:
     return {"x_min": g.x_min, "x_max": g.x_max, "n": g.n, "h": g.h}
-
-
-def _heavy_inputs(cfg: RunConfig):
-    region = None if cfg.heavy_region == "auto" else cfg.heavy_region
-    t1 = None if cfg.heavy_t1_scale == "auto" else cfg.heavy_t1_scale
-    return region, t1
 
 
 # --------------------------------------------------------------------------
@@ -244,10 +249,9 @@ def run_project(cfg: RunConfig, out: Path) -> list:
 
 
 def run_compare(cfg: RunConfig, out: Path) -> list:
-    region, t1 = _heavy_inputs(cfg)
     report = diagnostics.compare_report(
         cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces, cfg.projector_rank,
-        nuclear_levels=cfg.nuclear_levels, region=region, t1_scale=t1,
+        nuclear_levels=cfg.nuclear_levels, region=cfg.heavy_region, t1_scale=cfg.heavy_t1_scale,
         threshold=cfg.heavy_threshold, seed=cfg.seed, exact_k=cfg.exact_k)
     write_json(out / "report.json", report.to_dict())
     return ["report.json"]
@@ -298,23 +302,12 @@ def main(argv=None) -> int:
     except SystemExit:
         return 2
 
+    sources = {"output_dir": ("BO_LAB_OUT", args.out), "threads": ("BO_LAB_THREADS", args.threads),
+               "seed": ("BO_LAB_SEED", args.seed)}
+    overrides = {key: os.environ[var] for key, (var, _) in sources.items() if var in os.environ}
+    overrides.update({key: flag for key, (_, flag) in sources.items() if flag is not None})
     try:
-        cfg = load_config(args.config)
-        env = os.environ
-        if "BO_LAB_OUT" in env:
-            cfg.output_dir = Path(env["BO_LAB_OUT"])
-        if "BO_LAB_THREADS" in env:
-            cfg.threads = int(env["BO_LAB_THREADS"])
-        if "BO_LAB_SEED" in env:
-            cfg.seed = int(env["BO_LAB_SEED"])
-        if args.out is not None:
-            cfg.output_dir = Path(args.out)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
-            cfg.threads = args.threads
-        if args.seed is not None:
-            cfg.seed = args.seed
+        cfg = load_config(args.config, overrides)
         out = cfg.output_dir
         out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:

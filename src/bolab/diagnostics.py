@@ -20,7 +20,7 @@ kinetic energy), so that route is kept only as a cross-check utility.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +31,7 @@ from .clamped import ElectronicField, HeavyReport, heavy_gap_report, scan_pes
 from .exact import (DEFAULT_SEED, FullHamiltonian, assemble_full_hamiltonian,
                     rayleigh_quotient, solve_exact)
 from .grid import Grid1D, GridFunction, central_difference, second_difference
-from .model import ModelSpec, kappa
+from .model import ModelSpec, kappa, potential_to_dict
 from .projection import build_projector, solve_effective
 
 UNCERTAINTY_SLACK = 1e-9
@@ -42,11 +42,11 @@ SLICE_TIE_RTOL = 1e-12
 
 @dataclass
 class UncertaintyResult:
+    label: str
     sigma_x: float
     sigma_p: float
     product: float
     bound_ok: bool
-    label: str = ""
 
 
 # --------------------------------------------------------------------------
@@ -226,6 +226,9 @@ class ScalingRow:
 
 @dataclass
 class ComparisonReport:
+    """The report.json schema: ``to_dict`` writes these fields, nested
+    dataclasses included, in declaration order after ``schema_version``."""
+
     model: dict
     mass_ratios: list
     rows: list
@@ -237,45 +240,13 @@ class ComparisonReport:
     error_kappa_slope: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "model": self.model,
-            "mass_ratios": [float(r) for r in self.mass_ratios],
-            "rows": [_row_dict(r) for r in self.rows],
-            "heavy": _heavy_dict(self.heavy),
-            "uncertainty": [_uncertainty_dict(u) for u in self.uncertainty],
-            "residuals": self.residuals,
-            "t1_coupling": self.t1_coupling,
-            "heff": self.heff,
-            "error_kappa_slope": self.error_kappa_slope,
-        }
-
-
-def _heavy_dict(h: HeavyReport) -> dict:
-    return {"region": [h.region[0], h.region[1]], "t1_scale": h.t1_scale,
-            "min_gap": h.min_gap, "ratio": h.ratio, "heavy_ok": h.heavy_ok,
-            "threshold": h.threshold}
-
-
-def _uncertainty_dict(u: UncertaintyResult) -> dict:
-    return {"label": u.label, "sigma_x": u.sigma_x, "sigma_p": u.sigma_p,
-            "product": u.product, "bound_ok": u.bound_ok}
-
-
-def _row_dict(r: ScalingRow) -> dict:
-    return {"mass_ratio": r.mass_ratio, "kappa": r.kappa, "bo_energy": r.bo_energy,
-            "rayleigh_quotient": r.rayleigh_quotient, "exact_energy": r.exact_energy,
-            "relative_error": r.relative_error, "heavy": _heavy_dict(r.heavy),
-            "t1_candidates": r.t1_candidates,
-            "min_uncertainty_product": r.min_uncertainty_product,
-            "residual_max": r.residual_max, "residual_mean": r.residual_mean}
+        return {"schema_version": 1, **asdict(self)}
 
 
 @dataclass
 class SingleRunResult:
     """Everything one pipeline pass produces; reports are assembled from these."""
 
-    spec: ModelSpec
     field: ElectronicField
     hamiltonian: FullHamiltonian
     nuclear: dict
@@ -283,9 +254,7 @@ class SingleRunResult:
     exact_energies: np.ndarray
     rayleigh: float
     heavy: HeavyReport
-    t1_candidates: dict
     uncertainty: list
-    min_uncertainty_product: float
     residuals: dict
     row: ScalingRow
 
@@ -330,7 +299,6 @@ def run_pipeline(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
     a_min, i_min = np.unravel_index(np.flatnonzero(tied)[0], tied.shape)
     uncertainty.append(uncertainty_product(field.state(a_min, i_min),
                                            label=f"slice_min[a={a_min},i={i_min}]"))
-    min_product = min(u.product for u in uncertainty)
 
     residuals = {}
     res_max = res_mean = 0.0
@@ -345,17 +313,22 @@ def run_pipeline(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
                      exact_energy=float(exact.energies[0]),
                      relative_error=float(rel_err), heavy=heavy,
                      t1_candidates=t1_cands,
-                     min_uncertainty_product=float(min_product),
+                     min_uncertainty_product=min(u.product for u in uncertainty),
                      residual_max=res_max, residual_mean=res_mean)
-    return SingleRunResult(spec=spec, field=field, hamiltonian=h, nuclear=nuclear,
-                           product_states=states, exact_energies=exact.energies,
-                           rayleigh=rq, heavy=heavy, t1_candidates=t1_cands,
-                           uncertainty=uncertainty, min_uncertainty_product=min_product,
-                           residuals=residuals, row=row)
+    return SingleRunResult(field=field, hamiltonian=h, nuclear=nuclear, product_states=states,
+                           exact_energies=exact.energies, rayleigh=rq, heavy=heavy,
+                           uncertainty=uncertainty, residuals=residuals, row=row)
+
+
+def _heff_summary(result: SingleRunResult, ranks) -> dict:
+    """Lowest compressed-spectrum energy at each retained rank, and the last one's gap to the oracle."""
+    lowest = [float(solve_effective(build_projector(result.field, rank), result.hamiltonian,
+                                    k=1).energies[0]) for rank in ranks]
+    return {"ranks": list(ranks), "lowest": lowest,
+            "gap_to_exact": float(lowest[-1] - result.exact_energies[0])}
 
 
 def _model_dict(spec: ModelSpec) -> dict:
-    from .model import potential_to_dict
     return {"M": spec.M, "m": spec.m, "potential": potential_to_dict(spec.potential)}
 
 
@@ -396,12 +369,10 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
         logs_e = np.log([max(r.relative_error, 1e-300) for r in rows])
         slope = float(np.polyfit(logs_k, logs_e, 1)[0])
     last = results[-1]
-    eff = solve_effective(build_projector(last.field, N), last.hamiltonian, k=1)
-    heff = {"ranks": [N], "lowest": [float(eff.energies[0])],
-            "gap_to_exact": float(eff.energies[0] - last.exact_energies[0])}
     return ComparisonReport(model=_model_dict(spec), mass_ratios=ratios, rows=rows,
                             heavy=last.heavy, uncertainty=last.uncertainty,
-                            residuals=last.residuals, heff=heff, error_kappa_slope=slope)
+                            residuals=last.residuals, heff=_heff_summary(last, [N]),
+                            error_kappa_slope=slope)
 
 
 def compare_report(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, N: int,
@@ -413,16 +384,7 @@ def compare_report(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, N: int
     result = run_pipeline(spec, grid1, grid2, A, nuclear_levels=nuclear_levels,
                           region=region, t1_scale=t1_scale, threshold=threshold,
                           seed=seed, exact_k=exact_k)
-    field, h = result.field, result.hamiltonian
-
-    # compressed-spectrum drift as the retained rank grows
-    ranks = list(range(1, N + 1))
-    lowest = []
-    for rank in ranks:
-        eff = solve_effective(build_projector(field, rank), h, k=1)
-        lowest.append(float(eff.energies[0]))
-    heff = {"ranks": ranks, "lowest": lowest,
-            "gap_to_exact": float(lowest[-1] - result.exact_energies[0])}
+    field = result.field
 
     # heavy-kinetic couplings between the assembled states of every surface
     nuclear = dict(result.nuclear)
@@ -440,4 +402,4 @@ def compare_report(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, N: int
     return ComparisonReport(model=_model_dict(spec), mass_ratios=[spec.M / spec.m],
                             rows=[result.row], heavy=result.heavy,
                             uncertainty=result.uncertainty, residuals=result.residuals,
-                            t1_coupling=t1_summary, heff=heff)
+                            t1_coupling=t1_summary, heff=_heff_summary(result, range(1, N + 1)))

@@ -169,4 +169,8 @@ def potential_from_dict(data: dict) -> Potential:
     missing = [name for name in fields if name not in data]
     if missing:
         raise ValueError(f"potential family {family!r} is missing parameters {missing}")
-    return cls(**{name: float(data[name]) for name in fields})
+    params = {name: float(data[name]) for name in fields}
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise ValueError(f"potential.{name} must be finite, not {value}")
+    return cls(**params)

@@ -121,8 +121,19 @@ def test_single_surface_compare_exits_2(tmp_path, command):
     lambda cfg: {**cfg, "heavy": {"t1_scale": None}},
     lambda cfg: {**cfg, "sweep": 5},
     lambda cfg: {**cfg, "exact_k": 1e400},
+    lambda cfg: {**cfg, "model": {**cfg["model"], "M": float("inf")}},
+    lambda cfg: {**cfg, "model": {**cfg["model"], "m": float("nan")}},
+    lambda cfg: {**cfg, "model": {**cfg["model"],
+                                  "potential": {**cfg["model"]["potential"], "k2": float("nan")}}},
+    lambda cfg: {**cfg, "model": {**cfg["model"],
+                                  "potential": {**cfg["model"]["potential"], "k1": float("inf")}}},
+    lambda cfg: {**cfg, "heavy": {"region": [float("nan"), 1.0]}},
+    lambda cfg: {**cfg, "heavy": {"t1_scale": float("nan")}},
+    lambda cfg: {**cfg, "heavy": {"ratio_threshold": -float("inf")}},
+    lambda cfg: {**cfg, "sweep": [10.0, float("nan")]},
 ], ids=["top_level_list", "heavy_list", "seed_null", "t1_scale_null", "sweep_number",
-        "exact_k_overflow"])
+        "exact_k_overflow", "M_inf", "m_nan", "potential_k2_nan", "potential_k1_inf",
+        "region_nan", "t1_scale_nan", "ratio_threshold_minus_inf", "sweep_nan"])
 def test_malformed_config_exits_2(tmp_path, capsys, edit):
     cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
     path = tmp_path / "bad.json"
@@ -131,6 +142,30 @@ def test_malformed_config_exits_2(tmp_path, capsys, edit):
     assert _run("pes", path, tmp_path) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, bad", [("threads", 0), ("seed", -1)])
+@pytest.mark.parametrize("source", ["config", "env", "flag"])
+def test_threads_and_seed_checked_from_every_source(tmp_path, capsys, monkeypatch, source, key, bad):
+    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
+    extra = ()
+    if source == "config":
+        cfg[key] = bad
+    elif source == "env":
+        monkeypatch.setenv(f"BO_LAB_{key.upper()}", str(bad))
+    else:
+        extra = (f"--{key}", str(bad))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("pes", path, tmp_path, extra) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} must be" in err
+
+
+def test_overrides_replace_config_values(tmp_path):
+    cfg = load_config(str(CONFIG_DIR / "separable.json"),
+                      {"threads": "3", "seed": 5, "output_dir": str(tmp_path)})
+    assert (cfg.threads, cfg.seed, cfg.output_dir) == (3, 5, tmp_path)
 
 
 def test_help_exits_0(capsys):

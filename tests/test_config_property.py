@@ -1,0 +1,59 @@
+"""Property: load_config either raises ConfigError or returns a usable config."""
+
+import copy
+import json
+import math
+from dataclasses import astuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bolab.cli import ConfigError, load_config
+from tests.conftest import CONFIG_DIR
+
+BASE = json.loads((CONFIG_DIR / "separable.json").read_text())
+
+
+def _paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+# every field of the bundled config, plus the two it leaves at their defaults
+FIELDS = list(_paths(BASE)) + [("sweep",), ("threads",)]
+
+# values at the edges of what the checks accept (also as short lists, as region and
+# sweep take them), drawn as often as everything else
+EDGES = st.sampled_from([math.nan, math.inf, -math.inf, "auto", "nan", "-inf", "1e400", -1, 0])
+JSON_VALUES = EDGES | st.lists(EDGES | st.floats(), min_size=1, max_size=2) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | EDGES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=8)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=".".join)
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(value=JSON_VALUES)
+def test_load_config_rejects_or_returns_finite(tmp_path_factory, field, value):
+    data = copy.deepcopy(BASE)
+    target = data
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    path = tmp_path_factory.getbasetemp() / "property.json"
+    path.write_text(json.dumps(data))  # NaN and +-Infinity are written as JSON literals
+    try:
+        cfg = load_config(str(path))
+    except ConfigError:
+        return
+    floats = [cfg.model.M, cfg.model.m, *astuple(cfg.model.potential), cfg.heavy_threshold,
+              *(cfg.heavy_region or ()), *(cfg.sweep or ())]
+    floats += [getattr(g, name) for g in (cfg.grid1, cfg.grid2) for name in ("x_min", "x_max", "h")]
+    if cfg.heavy_t1_scale is not None:
+        floats.append(cfg.heavy_t1_scale)
+    assert all(math.isfinite(x) for x in floats)
+    assert cfg.seed >= 0 and cfg.threads >= 1

@@ -272,3 +272,26 @@ def test_report_serialization_round_trip(sweep_report):
     text = dumps(sweep_report.to_dict())
     parsed = json.loads(text)
     assert dumps(parsed) == text
+
+
+def test_report_key_order():
+    # report.json is written in dataclass field order; pin it for both builders
+    spec = ModelSpec(M=10.0, m=1.0, potential=HarmonicCoupling(1.0, 1.0))
+    g1 = build_grid(-3.0, 3.0, 16)
+    g2 = build_grid(-5.0, 5.0, 16)
+    row_keys = ["mass_ratio", "kappa", "bo_energy", "rayleigh_quotient", "exact_energy",
+                "relative_error", "heavy", "t1_candidates", "min_uncertainty_product",
+                "residual_max", "residual_mean"]
+    for report, ranks in ((compare_report(spec, g1, g2, A=2, N=2), [1, 2]),
+                          (kappa_scaling_study(spec, [10.0, 100.0], g1, g2, A=2, N=2), [2])):
+        d = report.to_dict()
+        assert list(d) == ["schema_version", "model", "mass_ratios", "rows", "heavy",
+                           "uncertainty", "residuals", "t1_coupling", "heff",
+                           "error_kappa_slope"]
+        assert list(d["rows"][0]) == row_keys
+        assert list(d["rows"][0]["heavy"]) == ["region", "t1_scale", "min_gap", "ratio",
+                                               "heavy_ok", "threshold"]
+        assert list(d["uncertainty"][0]) == ["label", "sigma_x", "sigma_p", "product",
+                                             "bound_ok"]
+        assert list(d["heff"]) == ["ranks", "lowest", "gap_to_exact"]
+        assert d["heff"]["ranks"] == ranks

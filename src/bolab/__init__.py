@@ -1,7 +1,7 @@
 """bolab: a numerical laboratory for adiabatic separation in 1+1 dimensional
 model molecules, verified against an exact two-body diagonalization oracle."""
 
-from .grid import Grid1D, GridFunction, build_grid, inner_product, second_derivative_matrix
+from .grid import Grid1D, GridFunction, build_grid
 from .model import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
                     analytic_normal_modes, evaluate_potential, kappa)
 from .clamped import ElectronicField, HeavyReport, heavy_gap_report, scan_pes, solve_clamped_slice
@@ -15,7 +15,7 @@ from .diagnostics import (ComparisonReport, UncertaintyResult, compare_report,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid1D", "GridFunction", "build_grid", "inner_product", "second_derivative_matrix",
+    "Grid1D", "GridFunction", "build_grid",
     "ModelSpec", "HarmonicCoupling", "SoftCoulomb", "SeparableHarmonic",
     "evaluate_potential", "kappa", "analytic_normal_modes",
     "ElectronicField", "HeavyReport", "scan_pes", "solve_clamped_slice", "heavy_gap_report",

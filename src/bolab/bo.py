@@ -8,8 +8,11 @@ The heavy particle is solved on a single surface a:
 and the trial state Psi(x1, x2) = theta(x1) psi_a(x1; x2) is assembled on
 the product grid. Two diagnostics measure the neglected x1-dependence of
 the slice states: the per-slice norm of d psi_a / d x1, and the matrix of
-heavy-kinetic couplings between assembled states, computed from the
-three-term product rule (theta'' psi, 2 theta' psi', theta psi'').
+heavy-kinetic couplings between assembled states. The couplings are the
+on-grid T1 of the exact oracle taken between slice-product states, so they
+reduce to the neighbour-slice overlaps that the compressed Hamiltonian of
+:mod:`bolab.projection` is built from. The Born-Huang term is no separate
+operator either: it is what the rank-1 compression adds to E_BO.
 """
 
 from dataclasses import dataclass
@@ -18,7 +21,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .clamped import ElectronicField
-from .grid import Grid1D, GridFunction, central_difference, kinetic_diagonals, second_difference
+from .grid import Grid1D, GridFunction, central_difference, kinetic_diagonals
 from .model import ModelSpec
 
 
@@ -56,18 +59,7 @@ class ResidualReport:
     mean: float            # x1-weighted (uniform grid: plain interior average)
 
 
-def born_huang_correction(field: ElectronicField, spec: ModelSpec, a: int) -> np.ndarray:
-    """Diagonal correction (1/2M) <d psi/d x1 | d psi/d x1> per slice.
-
-    Central differences on interior slices, one-sided at the two ends.
-    Reported separately; added to the nuclear operator only on request.
-    """
-    dpsi = _slice_derivative(field.states[a], field.grid1.h)
-    return (field.grid2.h * np.sum(dpsi * np.conj(dpsi), axis=1)).real / (2.0 * spec.M)
-
-
-def solve_nuclear(field: ElectronicField, spec: ModelSpec, a: int, n_levels: int,
-                  born_huang: bool = False) -> NuclearSolution:
+def solve_nuclear(field: ElectronicField, spec: ModelSpec, a: int, n_levels: int) -> NuclearSolution:
     """Lowest n_levels eigenpairs of the heavy particle on surface ``a``."""
     if not 0 <= a < field.n_surfaces:
         raise ValueError(f"surface index {a} out of range (n_surfaces = {field.n_surfaces})")
@@ -76,8 +68,6 @@ def solve_nuclear(field: ElectronicField, spec: ModelSpec, a: int, n_levels: int
         raise ValueError(f"need 1 <= n_levels <= n1, got {n_levels}")
     diag, off = kinetic_diagonals(g1, spec.M)
     diag += field.energies[a]
-    if born_huang:
-        diag += born_huang_correction(field, spec, a)
     try:
         vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -107,63 +97,39 @@ def adiabatic_residual(field: ElectronicField, a: int) -> ResidualReport:
     """Per-slice grid2-norm of the central difference of psi_a along x1."""
     if not 0 <= a < field.n_surfaces:
         raise ValueError(f"surface index {a} out of range")
-    n1 = field.grid1.n
-    if n1 < 3:
-        raise ValueError("need at least three slices for a central difference")
-    d = _slice_derivative(field.states[a], field.grid1.h)[1:-1]
+    d = central_difference(field.states[a], field.grid1)[1:-1]
     norms = np.sqrt((field.grid2.h * np.sum(d * np.conj(d), axis=1)).real)
     return ResidualReport(surface=a, per_slice=norms,
                           max=float(norms.max()), mean=float(norms.mean()))
-
-
-def _slice_derivative(psi: np.ndarray, h1: float) -> np.ndarray:
-    """d/dx1 of a (n1, n2) slice family: central interior, one-sided ends."""
-    d = np.empty_like(psi)
-    d[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * h1)
-    d[0] = (psi[1] - psi[0]) / h1
-    d[-1] = (psi[-1] - psi[-2]) / h1
-    return d
-
-
-def _slice_second_derivative(psi: np.ndarray, h1: float) -> np.ndarray:
-    d = np.empty_like(psi)
-    d[1:-1] = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / (h1 * h1)
-    d[0] = (psi[2] - 2.0 * psi[1] + psi[0]) / (h1 * h1)
-    d[-1] = (psi[-1] - 2.0 * psi[-2] + psi[-3]) / (h1 * h1)
-    return d
 
 
 def t1_coupling_matrix(field: ElectronicField, nuclear: dict[int, NuclearSolution],
                        levels: list[tuple[int, int]], M: float) -> np.ndarray:
     """Matrix of heavy-kinetic elements between assembled states.
 
-    Entry (row, col) is the inner product of state ``levels[row]`` with T1
-    applied to state ``levels[col]``, where T1 acts through the three-term
-    product rule with finite-difference x1-derivatives of theta (Dirichlet
-    stencil) and of the slice states (central, one-sided at the ends).
+    Entry (row, col) is <theta_r psi_r| T1 |theta_c psi_c> for the unnormalized
+    states ``levels[row]`` and ``levels[col]``, with T1 the Dirichlet stencil
+    along x1. With (d, e) = kinetic_diagonals(grid1, M), the slice states
+    orthonormal within a slice and S the neighbour-slice overlaps, it is
+
+        h1 [ (theta d theta^T) o delta(a_r, a_c) + U + U^T ],
+        U_rc = sum_i theta_r(i) theta_c(i+1) e_i S[i, a_r, a_c],
+
+    symmetric by construction. On the diagonal, S[i, a, a] < 1 lifts the entry
+    above the bare heavy kinetic energy of theta by -2 e_i (1 - S[i, a, a]) per
+    link, weighted by h1 theta(i) theta(i+1): the Born-Huang term, which is
+    what the rank-1 compression of :mod:`bolab.projection` adds to E_BO.
     """
     for a, n in levels:
         if a not in nuclear:
             raise ValueError(f"no nuclear solution supplied for surface {a}")
         if nuclear[a].grid1 != field.grid1:
             raise ValueError("nuclear solutions must share the field's nuclear grid")
-    h1, h2 = field.grid1.h, field.grid2.h
-
-    bras, t1kets = [], []
-    for a, n in levels:
-        theta = nuclear[a].wavefunctions[n]
-        psi = field.states[a]
-        bras.append(theta[:, None] * psi)
-        tpp = second_difference(theta, field.grid1)
-        tp = central_difference(theta, field.grid1)
-        dpsi = _slice_derivative(psi, h1)
-        ddpsi = _slice_second_derivative(psi, h1)
-        action = tpp[:, None] * psi + 2.0 * tp[:, None] * dpsi + theta[:, None] * ddpsi
-        t1kets.append(-action / (2.0 * M))
-
-    k = len(levels)
-    out = np.empty((k, k))
-    for r in range(k):
-        for c in range(k):
-            out[r, c] = h1 * h2 * np.sum(np.conj(bras[r]) * t1kets[c]).real
-    return out
+    surf = np.array([a for a, _ in levels])
+    theta = np.stack([nuclear[a].wavefunctions[n] for a, n in levels])  # (k, n1)
+    d, e = kinetic_diagonals(field.grid1, M)
+    overlaps = field.neighbour_overlaps(field.n_surfaces)[:, surf[:, None], surf]  # (n1-1, k, k)
+    diag = ((theta * d) @ theta.T) * (surf[:, None] == surf[None, :])
+    upper = np.einsum("ri,ci,irc->rc", theta[:, :-1], theta[:, 1:] * e, overlaps)
+    half = 0.5 * diag + upper  # adding the transpose makes the result exactly symmetric
+    return field.grid1.h * (half + half.T)

@@ -48,8 +48,16 @@ class ElectronicField:
     def state(self, a: int, i: int) -> GridFunction:
         return GridFunction(self.grid2, self.states[a, i])
 
-    def surface(self, a: int) -> np.ndarray:
-        return self.energies[a]
+    def neighbour_overlaps(self, N: int) -> np.ndarray:
+        """(n1 - 1, N, N) slice overlaps ``S[i, a, b] = h2 <psi_a(i), psi_b(i+1)>``.
+
+        The heavy kinetic stencil couples slice-product states only through
+        these overlaps, so every T1 matrix element in the slice basis
+        (compressed Hamiltonian, nonadiabatic couplings) is read from them.
+        """
+        h2 = self.grid2.h
+        return np.stack([h2 * self.states[:N, i, :] @ self.states[:N, i + 1, :].T
+                         for i in range(self.grid1.n - 1)])
 
 
 @dataclass

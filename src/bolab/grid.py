@@ -1,11 +1,11 @@
-"""Uniform 1-D Dirichlet grids, stencil operators, and grid-weighted inner products.
+"""Uniform 1-D Dirichlet grids, stencil operators, and grid-weighted norms.
 
 Everything downstream (clamped scans, nuclear solves, the product-grid
 Hamiltonian) is assembled from the pieces defined here: a uniform
 discretization of an interval with hard-wall boundaries, the 3-point
-Dirichlet stencil (axis-0 applies, tridiagonal diagonals, dense matrices),
-and the h-weighted inner product that makes sampled wavefunctions behave
-like L2 vectors. No other module writes the stencil out.
+Dirichlet stencil (axis-0 applies and tridiagonal diagonals), and the
+h-weighted norm that makes sampled wavefunctions behave like L2 vectors.
+No other module writes the stencil out.
 
 Units are hbar = 1 throughout; one coordinate per particle.
 """
@@ -100,18 +100,8 @@ def central_difference(a: np.ndarray, grid: Grid1D) -> np.ndarray:
     return out / (2.0 * grid.h)
 
 
-def second_derivative_matrix(grid: Grid1D) -> np.ndarray:
-    """Dense symmetric 3-point d^2/dx^2: diagonal -2/h^2, off-diagonals 1/h^2."""
-    return second_difference(np.eye(grid.n), grid)
-
-
-def first_derivative_matrix(grid: Grid1D) -> np.ndarray:
-    """Dense central-difference d/dx; exactly antisymmetric."""
-    return central_difference(np.eye(grid.n), grid)
-
-
 def stencil_diagonals(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, off-diagonal) of second_derivative_matrix, for banded assemblies."""
+    """(diagonal, off-diagonal) of the second_difference stencil, for banded assemblies."""
     h2 = grid.h * grid.h
     return np.full(grid.n, -2.0 / h2), np.full(grid.n - 1, 1.0 / h2)
 
@@ -124,21 +114,3 @@ def kinetic_diagonals(grid: Grid1D, mass: float) -> tuple[np.ndarray, np.ndarray
     """
     kin = 1.0 / (2.0 * mass * grid.h * grid.h)
     return np.full(grid.n, 2.0 * kin), np.full(grid.n - 1, -kin)
-
-
-def dirichlet_laplacian_eigenvalues(grid: Grid1D) -> np.ndarray:
-    """Closed-form spectrum of second_derivative_matrix: -(2/h^2)(1 - cos(k pi/(n+1)))."""
-    k = np.arange(1, grid.n + 1)
-    return -(2.0 / grid.h**2) * (1.0 - np.cos(k * np.pi / (grid.n + 1)))
-
-
-def inner(f_values: np.ndarray, g_values: np.ndarray, h: float):
-    """h-weighted Riemann inner product conj(f).g on raw sample arrays."""
-    return h * np.vdot(f_values, g_values)
-
-
-def inner_product(f: GridFunction, g: GridFunction):
-    """Grid-weighted inner product; rejects functions living on different grids."""
-    if f.grid != g.grid:
-        raise ValueError("inner_product requires both functions on the same grid")
-    return inner(f.values, g.values, f.grid.h)

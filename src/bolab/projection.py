@@ -65,15 +65,14 @@ def effective_matrix(p: Projector, h: FullHamiltonian) -> np.ndarray:
     if field.grid1 != h.grid1 or field.grid2 != h.grid2:
         raise ValueError("projector and Hamiltonian live on different grids")
     N, n1 = p.rank, field.grid1.n
-    h2 = field.grid2.h
     kin_diag, kin_off = kinetic_diagonals(field.grid1, h.mass1)
+    overlaps = field.neighbour_overlaps(N)
     out = np.zeros((N * n1, N * n1))
     for i in range(n1):
         sl = slice(i * N, (i + 1) * N)
         out[sl, sl] = np.diag(field.energies[:N, i]) + kin_diag[i] * np.eye(N)
     for i in range(n1 - 1):
-        overlap = h2 * field.states[:N, i, :] @ field.states[:N, i + 1, :].T
-        block = kin_off[i] * overlap
+        block = kin_off[i] * overlaps[i]
         out[i * N:(i + 1) * N, (i + 1) * N:(i + 2) * N] = block
         out[(i + 1) * N:(i + 2) * N, i * N:(i + 1) * N] = block.T
     return out

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from bolab import HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb, build_grid
+from bolab import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
+                   assemble_full_hamiltonian, build_grid, scan_pes, solve_exact, solve_nuclear)
 from bolab.diagnostics import kappa_scaling_study, run_pipeline
 
 REPO = Path(__file__).resolve().parent.parent
@@ -52,3 +53,14 @@ def sweep_report():
 def soft_coulomb_setup():
     spec = ModelSpec(M=100.0, m=1.0, potential=SoftCoulomb(z=1.0, s=1.0, k1=1.0))
     return spec
+
+
+@pytest.fixture(scope="session")
+def soft_coulomb_oracle(soft_coulomb_setup):
+    # the bundled soft_coulomb config grids: shift-invert path, k = 2
+    spec = soft_coulomb_setup
+    g1 = build_grid(-1.6, 1.6, 96)
+    g2 = build_grid(-10.0, 10.0, 192)
+    h = assemble_full_hamiltonian(spec, g1, g2)
+    bo_energy = solve_nuclear(scan_pes(spec, g1, g2, 1), spec, 0, 1).energies[0]
+    return h, bo_energy, solve_exact(h, 2).energies

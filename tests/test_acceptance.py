@@ -11,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from bolab.bo import adiabatic_residual, solve_nuclear, t1_coupling_matrix
+from bolab.bo import adiabatic_residual, assemble_product_state, solve_nuclear, t1_coupling_matrix
+from bolab.clamped import scan_pes
 from bolab.diagnostics import (UNCERTAINTY_SLACK, nuclear_uncertainty,
                                slice_uncertainty_products, uncertainty_product)
 from bolab.exact import assemble_full_hamiltonian, rayleigh_quotient, solve_exact
@@ -81,8 +82,10 @@ def test_criterion_4_uncertainty_suite(harmonic2000, separable_run):
 
 
 def test_criterion_5_variational_invariant(harmonic2000, harmonic2000_setup,
-                                           separable_run, separable_setup, sweep_report):
-    # E_BO (no Born-Huang term) <= E_exact <= Rayleigh quotient of every product state
+                                           separable_run, separable_setup,
+                                           soft_coulomb_setup, soft_coulomb_oracle, sweep_report):
+    # E_BO (no Born-Huang term) <= E_exact <= Rayleigh quotient of every product state,
+    # and the rank-1 compression sits in between: E_exact <= E_heff(1) <= RQ(theta_0 psi_0)
     count = 0
     for run, setup in ((harmonic2000, harmonic2000_setup), (separable_run, separable_setup)):
         spec, g1, g2 = setup
@@ -97,7 +100,20 @@ def test_criterion_5_variational_invariant(harmonic2000, harmonic2000_setup,
         assert row.bo_energy <= row.exact_energy + tol
         assert row.rayleigh_quotient >= row.exact_energy - tol
         count += 1
-    _ok(5, f"{count} product states above the exact ground energy, every BO energy below it")
+    soft_h, _, soft_exact = soft_coulomb_oracle
+    soft_field = scan_pes(soft_coulomb_setup, soft_h.grid1, soft_h.grid2, 1)
+    for h, field, spec, e0 in ((harmonic2000.hamiltonian, harmonic2000.field,
+                                harmonic2000_setup[0], harmonic2000.exact_energies[0]),
+                               (separable_run.hamiltonian, separable_run.field,
+                                separable_setup[0], separable_run.exact_energies[0]),
+                               (soft_h, soft_field, soft_coulomb_setup, soft_exact[0])):
+        trial = assemble_product_state(solve_nuclear(field, spec, 0, 1), field, 0)
+        rq = rayleigh_quotient(h, trial.amplitudes)
+        heff = solve_effective(build_projector(field, 1), h, 1).energies[0]
+        assert e0 <= heff + 1e-10 * abs(e0)
+        assert heff <= rq + 1e-10 * abs(e0)
+    _ok(5, f"{count} product states above the exact ground energy, every BO energy below it, "
+           "E_exact <= E_heff(1) <= RQ on 3 models")
 
 
 def test_criterion_6_projection_facts(harmonic2000, harmonic2000_setup):

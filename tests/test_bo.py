@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from bolab.bo import (adiabatic_residual, assemble_product_state,
-                      born_huang_correction, solve_nuclear, t1_coupling_matrix)
+from bolab.bo import (adiabatic_residual, assemble_product_state, solve_nuclear,
+                      t1_coupling_matrix)
 from bolab.clamped import scan_pes
-from bolab.exact import assemble_full_hamiltonian, rayleigh_quotient
-from bolab.grid import build_grid
+from bolab.exact import assemble_full_hamiltonian, product_inner, rayleigh_quotient
+from bolab.grid import build_grid, kinetic_diagonals, second_difference
 from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic,
                          SoftCoulomb, analytic_normal_modes)
+from bolab.projection import build_projector, solve_effective
 
 # full-pipeline ground energy for soft_coulomb(z=1, s=1, k1=1) at M=100:
 # the ground surface is exactly k1/2 x1^2 + e0 (translation-invariant
@@ -201,9 +202,25 @@ def test_t1_coupling_harmonic_suppression(harmonic2000, harmonic2000_setup):
     sel = [(a, n) for a in range(3) for n in range(2)]
     mat = t1_coupling_matrix(field, nuclear, sel, spec.M)
     assert np.max(np.abs(mat - mat.T)) < 1e-8
+    assert np.array_equal(mat, mat.T)
     off_max = np.max(np.abs(mat - np.diag(np.diag(mat))))
     min_gap = float(np.min(np.diff(field.energies, axis=0)))
     assert off_max / min_gap <= 0.05
+
+
+def test_t1_coupling_is_the_on_grid_heavy_kinetic_operator(harmonic2000, harmonic2000_setup,
+                                                           separable_run, separable_setup):
+    # entry (r, c) is <theta_r psi_r| T1 |theta_c psi_c> with T1 the oracle's own x1 stencil
+    for run, (spec, g1, _) in ((harmonic2000, harmonic2000_setup), (separable_run, separable_setup)):
+        field = run.field
+        nuclear = {a: solve_nuclear(field, spec, a, 2) for a in range(field.n_surfaces)}
+        sel = [(a, n) for a in nuclear for n in range(2)]
+        mat = t1_coupling_matrix(field, nuclear, sel, spec.M)
+        states = [nuclear[a].wavefunctions[n][:, None] * field.states[a] for a, n in sel]
+        ref = np.array([[product_inner(run.hamiltonian, bra,
+                                       -second_difference(ket, g1) / (2.0 * spec.M)).real
+                         for ket in states] for bra in states])
+        assert np.max(np.abs(mat - ref)) <= 1e-10 * np.max(np.abs(mat))
 
 
 def test_t1_coupling_rejections(harmonic2000, harmonic2000_setup):
@@ -214,12 +231,16 @@ def test_t1_coupling_rejections(harmonic2000, harmonic2000_setup):
 
 
 def test_born_huang_correction_magnitude(harmonic2000, harmonic2000_setup):
-    # rigidly translating ground slice: correction = m omega2 / (4 M), constant
-    spec, _, _ = harmonic2000_setup
-    corr = born_huang_correction(harmonic2000.field, spec, 0)
+    # rigidly translating ground slice: correction = m omega2 / (4 M), constant.
+    # The Born-Huang term is the rank-1 compression: each x1 link scales the
+    # stencil coupling e_i by S[i, 0, 0], which on a smooth theta acts as the
+    # diagonal term -2 e_i (1 - S[i, 0, 0]).
+    spec, g1, _ = harmonic2000_setup
+    field = harmonic2000.field
+    _, e = kinetic_diagonals(g1, spec.M)
+    corr = -2.0 * e * (1.0 - field.neighbour_overlaps(1)[:, 0, 0])
     assert np.all(corr > 0)
     assert corr.mean() == pytest.approx(1.0 / (4.0 * spec.M), rel=0.01)
-    sol_plain = harmonic2000.nuclear[0]
-    sol_bh = solve_nuclear(harmonic2000.field, spec, 0, 1, born_huang=True)
-    shift = sol_bh.energies[0] - sol_plain.energies[0]
+    rank1 = solve_effective(build_projector(field, 1), harmonic2000.hamiltonian, 1)
+    shift = rank1.energies[0] - harmonic2000.nuclear[0].energies[0]
     assert shift == pytest.approx(1.0 / (4.0 * spec.M), rel=0.02)

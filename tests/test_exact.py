@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from bolab.bo import solve_nuclear
-from bolab.clamped import scan_pes
 from bolab.exact import (DENSE_LIMIT, _bo_lower_bound, _ncv, assemble_full_hamiltonian,
                          product_inner, rayleigh_quotient, solve_exact)
 from bolab.grid import build_grid, stencil_diagonals
@@ -150,17 +148,6 @@ def test_rayleigh_quotient_of_eigenstate(harmonic2000, harmonic2000_setup):
     h = assemble_full_hamiltonian(spec, g1, g2)
     sol = solve_exact(h, 1)
     assert rayleigh_quotient(h, sol.states[0]) == pytest.approx(sol.energies[0], abs=1e-10)
-
-
-@pytest.fixture(scope="module")
-def soft_coulomb_oracle(soft_coulomb_setup):
-    # the bundled soft_coulomb config grids: shift-invert path, k = 2
-    spec = soft_coulomb_setup
-    g1 = build_grid(-1.6, 1.6, 96)
-    g2 = build_grid(-10.0, 10.0, 192)
-    h = assemble_full_hamiltonian(spec, g1, g2)
-    bo_energy = solve_nuclear(scan_pes(spec, g1, g2, 1), spec, 0, 1).energies[0]
-    return h, bo_energy, solve_exact(h, 2).energies
 
 
 def _oracle_cases(harmonic2000, separable_run, soft_coulomb_oracle):

@@ -1,14 +1,15 @@
-"""Grid construction, stencil operators, and the weighted inner product."""
+"""Grid construction, stencil operators, and the weighted inner product.
+
+Dense stencil matrices are the axis-0 applies acting on the identity, and
+inner products are written out as ``h * vdot(f, g)``.
+"""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bolab.grid import (GridFunction, build_grid, central_difference,
-                        dirichlet_laplacian_eigenvalues, first_derivative_matrix,
-                        inner_product, kinetic_diagonals, second_derivative_matrix,
+from bolab.grid import (GridFunction, build_grid, central_difference, kinetic_diagonals,
                         second_difference, stencil_diagonals)
-
 
 def test_spacing_from_definition():
     assert build_grid(0.0, 10.0, 99).h == pytest.approx(0.1, abs=1e-15)
@@ -37,7 +38,7 @@ def test_rejects_unusable_discretizations():
 
 def test_stencil_structure():
     g = build_grid(0.0, 9.0, 8)  # h = 1
-    m = second_derivative_matrix(g)
+    m = second_difference(np.eye(g.n), g)
     assert m.shape == (8, 8)
     assert np.all(np.diag(m) == -2.0)
     assert np.all(np.diag(m, 1) == 1.0)
@@ -49,7 +50,7 @@ def test_stencil_structure():
 
 
 def test_stencil_exact_symmetry():
-    m = second_derivative_matrix(build_grid(-3.0, 7.0, 41))
+    m = second_difference(np.eye(41), build_grid(-3.0, 7.0, 41))
     assert np.array_equal(m, m.T)
 
 
@@ -57,14 +58,15 @@ def test_dirichlet_spectrum_closed_form():
     # closed form -(2/h^2)(1 - cos(k pi/(n+1))) against direct diagonalization
     for n in (8, 33):
         g = build_grid(-2.0, 2.0, n)
-        computed = np.linalg.eigvalsh(second_derivative_matrix(g))
-        expected = np.sort(dirichlet_laplacian_eigenvalues(g))
+        computed = np.linalg.eigvalsh(second_difference(np.eye(g.n), g))
+        k = np.arange(1, n + 1)
+        expected = np.sort(-(2.0 / g.h**2) * (1.0 - np.cos(k * np.pi / (n + 1))))
         assert np.allclose(computed, expected, atol=1e-10 * np.max(np.abs(expected)))
 
 
 def test_linear_function_second_derivative_vanishes():
     g = build_grid(-1.0, 1.0, 63)
-    m = second_derivative_matrix(g)
+    m = second_difference(np.eye(g.n), g)
     out = m @ g.points
     # interior rows see an exactly linear function; boundary rows feel the walls
     assert np.max(np.abs(out[1:-1])) < 1e-12
@@ -73,16 +75,16 @@ def test_linear_function_second_derivative_vanishes():
 def test_inner_product_normalization():
     g = build_grid(-4.0, 4.0, 64)
     f = GridFunction(g, np.exp(-g.points**2)).normalized()
-    assert inner_product(f, f) == pytest.approx(1.0, abs=1e-12)
+    assert g.h * np.vdot(f.values, f.values) == pytest.approx(1.0, abs=1e-12)
     assert f.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_inner_product_eigenvector_orthogonality():
     g = build_grid(-1.0, 3.0, 24)
-    _, vecs = np.linalg.eigh(second_derivative_matrix(g))
+    _, vecs = np.linalg.eigh(second_difference(np.eye(g.n), g))
     f = GridFunction(g, vecs[:, 0])
     r = GridFunction(g, vecs[:, 5])
-    assert abs(inner_product(f, r)) < 1e-10
+    assert abs(g.h * np.vdot(f.values, r.values)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -93,7 +95,7 @@ def test_inner_product_sine_modes(n):
     r = GridFunction(g, np.sin(2.0 * np.pi * g.points))
     analytic = quad(lambda x: np.sin(np.pi * x) * np.sin(2 * np.pi * x), 0, 1)[0]
     assert analytic == pytest.approx(0.0, abs=1e-12)
-    assert abs(inner_product(f, r) - analytic) < 1e-8
+    assert abs(g.h * np.vdot(f.values, r.values) - analytic) < 1e-8
 
 
 def test_inner_product_conjugate_symmetry():
@@ -101,14 +103,8 @@ def test_inner_product_conjugate_symmetry():
     g = build_grid(-1.0, 1.0, 32)
     f = GridFunction(g, rng.standard_normal(32) + 1j * rng.standard_normal(32))
     r = GridFunction(g, rng.standard_normal(32) + 1j * rng.standard_normal(32))
-    assert inner_product(f, r) == pytest.approx(np.conj(inner_product(r, f)), abs=1e-15)
-
-
-def test_inner_product_rejects_mismatched_grids():
-    f = GridFunction(build_grid(-1.0, 1.0, 16), np.ones(16))
-    r = GridFunction(build_grid(-1.0, 2.0, 16), np.ones(16))
-    with pytest.raises(ValueError):
-        inner_product(f, r)
+    fr, rf = g.h * np.vdot(f.values, r.values), g.h * np.vdot(r.values, f.values)
+    assert fr == pytest.approx(np.conj(rf), abs=1e-15)
 
 
 def test_gridfunction_shape_check():
@@ -117,7 +113,7 @@ def test_gridfunction_shape_check():
 
 
 def test_first_derivative_antisymmetric():
-    m = first_derivative_matrix(build_grid(-1.0, 1.0, 20))
+    m = central_difference(np.eye(20), build_grid(-1.0, 1.0, 20))
     assert np.array_equal(m, -m.T)
 
 
@@ -125,7 +121,7 @@ def test_axis0_applies_match_dense_matrices_column_by_column():
     g = build_grid(-2.0, 3.0, 24)
     a = np.random.default_rng(5).standard_normal((g.n, 3))
     d2, d1 = second_difference(a, g), central_difference(a, g)
-    m2, m1 = second_derivative_matrix(g), first_derivative_matrix(g)
+    m2, m1 = second_difference(np.eye(g.n), g), central_difference(np.eye(g.n), g)
     assert np.all(np.diag(m1, 1) == 1.0 / (2.0 * g.h)) and np.count_nonzero(m1) == 2 * (g.n - 1)
     for j in range(a.shape[1]):
         assert np.allclose(d2[:, j], m2 @ a[:, j], rtol=0, atol=1e-12)

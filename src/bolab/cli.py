@@ -14,11 +14,11 @@ Commands and their artifacts:
 --threads (or BO_LAB_THREADS, or "threads" in the config) sets the number of
 sweep workers of ``scaling``; other commands ignore it.
 
-Exit codes: 0 success, 1 unknown command / usage, 2 config error,
-3 solver failure. Flags override BO_LAB_* environment variables, which
-override config-file values; all three go through the same checks
-(threads >= 1, seed >= 0), and a non-finite number is a config error.
-Identical configs produce byte-identical files for any --threads value.
+Exit codes: 0 success, 1 usage, 2 config error (bad or non-finite config
+value, field combination), 3 numerical failure (no convergence, non-finite
+result). Flags override BO_LAB_* environment variables, which override
+config-file values; all three go through the same checks (threads >= 1,
+seed >= 0). Identical configs give byte-identical files for any --threads.
 """
 
 import argparse
@@ -35,7 +35,7 @@ from .exact import DEFAULT_SEED, SolverError, assemble_full_hamiltonian, rayleig
 from .grid import Grid1D, build_grid
 from .model import ModelSpec, potential_from_dict
 from .projection import build_projector, solve_effective
-from .serialize import write_csv, write_json
+from .serialize import NonFiniteError, write_csv, write_json
 
 COMMANDS = ("pes", "bo", "exact", "project", "compare", "scaling")
 SCHEMA_VERSION = 1
@@ -316,13 +316,13 @@ def main(argv=None) -> int:
 
     try:
         files = _RUNNERS[command](cfg, out)
+    except (SolverError, RuntimeError, NonFiniteError) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         # ConfigError and precondition violations from bad field combinations
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, RuntimeError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
     for name in files:
         print(out / name)
     return 0

@@ -10,7 +10,10 @@ small symmetric matrix with a clean block-tridiagonal structure:
 * neighbour blocks -1/(2 M h1^2) S(i, i+1),  S_ab = <psi_a(i), psi_b(i+1)>
 
 (the clamped part is exactly diagonal in its own eigenbasis; only the
-heavy kinetic stencil couples neighbouring slices). Everything orthogonal
+heavy kinetic stencil couples neighbouring slices). Ordered slice-major,
+the matrix is banded with bandwidth 2N - 1, so it is built directly in
+LAPACK upper band storage and only its lowest eigenvalues are computed
+(``eigvals_banded``), never a dense (N n1)^2 array. Everything orthogonal
 to V is annihilated by construction, and the compressed eigenvalues are
 Rayleigh-Ritz upper bounds on the exact ones.
 """
@@ -18,7 +21,7 @@ Rayleigh-Ritz upper bounds on the exact ones.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigvals_banded
 
 from .clamped import ElectronicField
 from .exact import FullHamiltonian
@@ -56,47 +59,37 @@ def build_projector(field: ElectronicField, N: int) -> Projector:
 class EffectiveSolution:
     rank: int
     energies: np.ndarray   # (k,) ascending, nonzero sector only
-    states: np.ndarray     # (k, n1, n2) product-grid amplitudes inside V
 
 
 def effective_matrix(p: Projector, h: FullHamiltonian) -> np.ndarray:
-    """Symmetric (N n1) x (N n1) compression of H onto the projector's range."""
+    """Compression of H onto the projector's range, in LAPACK upper band storage.
+
+    The (N n1) x (N n1) matrix, indexed ``i N + a`` (slice i, level a), has
+    bandwidth u = 2N - 1, so it is returned as a (2N, N n1) array with
+    ``band[u + r - c, c] = m[r, c]`` for r <= c: row u is the diagonal, and
+    entry (a, b) of the neighbour block (i, i+1) sits in row u - N + a - b,
+    column (i+1)N + b.
+    """
     field = p.field
     if field.grid1 != h.grid1 or field.grid2 != h.grid2:
         raise ValueError("projector and Hamiltonian live on different grids")
     N, n1 = p.rank, field.grid1.n
     kin_diag, kin_off = kinetic_diagonals(field.grid1, h.mass1)
-    overlaps = field.neighbour_overlaps(N)
-    out = np.zeros((N * n1, N * n1))
-    for i in range(n1):
-        sl = slice(i * N, (i + 1) * N)
-        out[sl, sl] = np.diag(field.energies[:N, i]) + kin_diag[i] * np.eye(N)
-    for i in range(n1 - 1):
-        block = kin_off[i] * overlaps[i]
-        out[i * N:(i + 1) * N, (i + 1) * N:(i + 2) * N] = block
-        out[(i + 1) * N:(i + 2) * N, i * N:(i + 1) * N] = block.T
-    return out
+    u = 2 * N - 1
+    band = np.zeros((2 * N, N * n1))
+    band[u] = (field.energies[:N].T + kin_diag[:, None]).ravel()
+    i, a, b = np.ogrid[:n1 - 1, :N, :N]
+    band[u - N + a - b, (i + 1) * N + b] = kin_off[:, None, None] * field.neighbour_overlaps(N)
+    return band
 
 
 def solve_effective(p: Projector, h: FullHamiltonian, k: int) -> EffectiveSolution:
-    """Lowest k eigenpairs of the compressed Hamiltonian, mapped back to the grid.
+    """Lowest k eigenvalues of the compressed Hamiltonian (no eigenvectors).
 
     The zero eigenvalue carried by everything orthogonal to V is an artifact
-    of the projection and is excluded: the solve happens inside V.
+    of the projection and is excluded: the solve happens inside V, on the band.
     """
     if not 1 <= k <= p.subspace_dim:
         raise ValueError(f"need 1 <= k <= {p.subspace_dim}, got k = {k}")
-    m = effective_matrix(p, h)
-    vals, vecs = eigh(m, subset_by_index=(0, k - 1))
-    field = p.field
-    N, n1 = p.rank, field.grid1.n
-    sqrt_h1 = np.sqrt(field.grid1.h)
-    states = np.empty((k, n1, field.grid2.n))
-    for idx in range(k):
-        c = vecs[:, idx].reshape(n1, N)
-        amp = np.einsum("ia,aij->ij", c, field.states[:N]) / sqrt_h1
-        j = np.unravel_index(np.argmax(np.abs(amp)), amp.shape)
-        if amp[j] < 0:
-            amp = -amp
-        states[idx] = amp
-    return EffectiveSolution(rank=N, energies=vals, states=states)
+    energies = eigvals_banded(effective_matrix(p, h), select="i", select_range=(0, k - 1))
+    return EffectiveSolution(rank=p.rank, energies=energies)

@@ -1,12 +1,15 @@
 """CLI contract: commands, artifacts, exit codes, overrides."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from bolab.cli import load_config, main
-from tests.conftest import CONFIG_DIR
+from tests.conftest import CONFIG_DIR, REPO
 
 
 def _run(command, config, out, extra=()):
@@ -199,6 +202,40 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "solve_exact", explode)
     assert _run("exact", CONFIG_DIR / "separable.json", tmp_path) == 3
+
+
+def test_non_finite_result_exits_3(tmp_path, monkeypatch, capsys):
+    from bolab import cli
+
+    real = cli.solve_exact
+
+    def nan_energy(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        sol.energies[0] = np.nan
+        return sol
+
+    monkeypatch.setattr(cli, "solve_exact", nan_energy)
+    assert _run("exact", CONFIG_DIR / "separable.json", tmp_path) == 3
+    assert "solver failure: cannot serialize non-finite value nan" in capsys.readouterr().err
+
+
+def _run_with_blas_threads(command, config, out, threads):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    env.pop("BO_LAB_OUT", None)
+    done = subprocess.run([sys.executable, "-m", "bolab.cli", command, "--config", str(config),
+                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("command", ["compare", "project"])
+def test_bytes_independent_of_blas_threads(tmp_path, command):
+    outputs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"blas{threads}"
+        _run_with_blas_threads(command, CONFIG_DIR / "harmonic_m2000.json", out, threads)
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outputs[1] and outputs[1] == outputs[2]
 
 
 def test_load_config_validates_counts(tmp_path):

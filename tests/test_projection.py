@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eig_banded, eigh, eigvals_banded
 
 from bolab.bo import assemble_product_state, solve_nuclear
 from bolab.clamped import scan_pes
@@ -77,7 +77,7 @@ def test_full_rank_projector_is_identity():
 def test_full_rank_compression_reproduces_spectrum():
     field, h = _small_full_rank_setup()
     p = build_projector(field, 8)
-    compressed = np.sort(eigh(effective_matrix(p, h), eigvals_only=True))
+    compressed = np.sort(eigvals_banded(effective_matrix(p, h)))
     full = np.sort(eigh(h.as_sparse.toarray(), eigvals_only=True))
     assert np.max(np.abs(compressed - full)) < 1e-9
 
@@ -125,9 +125,11 @@ def test_effective_states_lie_in_subspace(harmonic2000, harmonic2000_setup):
     field = harmonic2000.field
     h = assemble_full_hamiltonian(spec, g1, g2)
     p = build_projector(field, 2)
-    eff = solve_effective(p, h, 2)
+    N, n1 = p.rank, g1.n
+    _, vecs = eig_banded(effective_matrix(p, h), select="i", select_range=(0, 1))
     for idx in range(2):
-        amp = eff.states[idx]
+        c = vecs[:, idx].reshape(n1, N)
+        amp = np.einsum("ia,aij->ij", c, field.states[:N]) / np.sqrt(g1.h)
         assert np.linalg.norm(p.apply(amp) - amp) <= 1e-9 * np.linalg.norm(amp)
         nrm = g1.h * g2.h * np.sum(amp**2)
         assert nrm == pytest.approx(1.0, abs=1e-10)
@@ -140,7 +142,47 @@ def test_effective_subspace_dimension(harmonic2000, harmonic2000_setup):
     for rank in (1, 3):
         p = build_projector(field, rank)
         m = effective_matrix(p, h)
-        assert m.shape == (rank * g1.n, rank * g1.n)
+        assert m.shape == (2 * rank, rank * g1.n)
         assert p.subspace_dim == rank * g1.n
     with pytest.raises(ValueError):
         solve_effective(build_projector(field, 1), h, g1.n + 1)
+
+
+def _dense_from_band(band):
+    """The symmetric matrix held in LAPACK upper band storage."""
+    u, n = band.shape[0] - 1, band.shape[1]
+    dense = np.zeros((n, n))
+    for d in range(u + 1):
+        dense[np.arange(n - d), np.arange(d, n)] = band[u - d, d:]
+    return dense + np.triu(dense, 1).T
+
+
+def _compression_by_apply(field, h, N):
+    """<e_r|H|e_c> over the orthonormal slice basis e_(i,a) = psi_a(i) / sqrt(h1), via H's action."""
+    n1, h1, h2 = field.grid1.n, field.grid1.h, field.grid2.h
+    out = np.empty((n1 * N, n1 * N))
+    for i in range(n1):
+        for a in range(N):
+            e = np.zeros((n1, field.grid2.n))
+            e[i] = field.states[a, i] / np.sqrt(h1)
+            out[:, i * N + a] = np.sqrt(h1) * h2 * np.einsum("aij,ij->ia", field.states[:N],
+                                                               h.apply(e)).ravel()
+    return out
+
+
+def test_band_matches_dense_spectrum(harmonic2000):
+    field, h = harmonic2000.field, harmonic2000.hamiltonian
+    for rank in (1, 2, 3):
+        p = build_projector(field, rank)
+        band = effective_matrix(p, h)
+        dense = _dense_from_band(band)
+        # the unused corner of the band storage (above the first row) stays empty
+        assert all(not band[-1 - d, :d].any() for d in range(1, 2 * rank))
+        # the full dense view is the symmetric compression of H itself
+        direct = _compression_by_apply(field, h, rank)
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(direct - direct.T)) <= 1e-12 * scale
+        assert np.max(np.abs(dense - direct)) <= 1e-12 * scale
+        want = eigh(dense, eigvals_only=True, subset_by_index=(0, 2))
+        got = solve_effective(p, h, 3).energies
+        assert np.allclose(got, want, rtol=1e-12, atol=0)

@@ -204,6 +204,17 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch):
     assert _run("exact", CONFIG_DIR / "separable.json", tmp_path) == 3
 
 
+def test_factorization_failure_exits_3(tmp_path, monkeypatch, capsys):
+    from bolab import exact
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(exact, "splu", singular)
+    assert _run("exact", CONFIG_DIR / "separable.json", tmp_path) == 3
+    assert "exactly singular" in capsys.readouterr().err
+
+
 def test_non_finite_result_exits_3(tmp_path, monkeypatch, capsys):
     from bolab import cli
 
@@ -228,7 +239,7 @@ def _run_with_blas_threads(command, config, out, threads):
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize("command", ["compare", "project"])
+@pytest.mark.parametrize("command", ["compare", "project", "exact", "bo"])
 def test_bytes_independent_of_blas_threads(tmp_path, command):
     outputs = {}
     for threads in (1, 2):

@@ -1,11 +1,16 @@
 """The exact two-body oracle: assembly, symmetry, spectra, determinism."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import eigsh
 
-from bolab.exact import (DENSE_LIMIT, _bo_lower_bound, _ncv, assemble_full_hamiltonian,
-                         product_inner, rayleigh_quotient, solve_exact)
+from bolab import exact
+from bolab.exact import (_SHIFT_OFFSET, DEFAULT_SEED, DENSE_LIMIT, SolverError, _bo_lower_bound,
+                         _ncv, assemble_full_hamiltonian, product_inner, rayleigh_quotient,
+                         solve_exact)
 from bolab.grid import build_grid, stencil_diagonals
 from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic,
                          analytic_normal_modes)
@@ -176,23 +181,83 @@ def test_bo_lower_bound_is_exact_for_a_separable_potential(separable_run):
     assert abs(_bo_lower_bound(separable_run.hamiltonian) - e0) <= 1e-10 * abs(e0)
 
 
-def test_shift_invert_takes_one_lanczos_pass_for_every_seed(harmonic2000, monkeypatch):
-    # k=3 is the first k where ARPACK's default basis needed a restart for
-    # some start vectors; every seed should cost the same ncv + 1 solves.
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Solve counts, one entry per ``exact.splu`` call, and eigsh's own factorizations."""
     arpack = pytest.importorskip("scipy.sparse.linalg._eigen.arpack.arpack")
-    solves = []
-    factorize = arpack.get_OPinv_matvec
+    solves, own = [], []
+    factorize, eigsh_factorize = exact.splu, arpack.get_OPinv_matvec
 
     def counted(*args, **kwargs):
-        matvec = factorize(*args, **kwargs)
+        lu = factorize(*args, **kwargs)
+        solves.append(0)
 
         def solve(x):
             solves[-1] += 1
-            return matvec(x)
-        return solve
+            return lu.solve(x)
+        return SimpleNamespace(solve=solve)
 
-    monkeypatch.setattr(arpack, "get_OPinv_matvec", counted)
+    def recorded(*args, **kwargs):
+        own.append(args)
+        return eigsh_factorize(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "splu", counted)
+    monkeypatch.setattr(arpack, "get_OPinv_matvec", recorded)
+    return solves, own
+
+
+@pytest.fixture(scope="module")
+def sweep_hamiltonians():
+    # the scaling_harmonic config: four mass ratios on 192 x 96, exact k = 1
+    g1, g2 = build_grid(-2.4, 2.4, 192), build_grid(-8.5, 8.5, 96)
+    return [assemble_full_hamiltonian(_harmonic(M=ratio), g1, g2)
+            for ratio in (10.0, 100.0, 1000.0, 2000.0)]
+
+
+def test_shift_invert_takes_one_lanczos_pass_for_every_seed(harmonic2000, factorizations):
+    # k=3 is the first k where ARPACK's default basis needed a restart for
+    # some start vectors; every seed should cost the same ncv + 1 solves,
+    # all through the one factorization solve_exact builds.
+    solves, own = factorizations
     for seed in range(8):
-        solves.append(0)
         solve_exact(harmonic2000.hamiltonian, 3, seed=seed)
     assert solves == [_ncv(3) + 1] * 8
+    assert own == []
+
+
+def test_shift_invert_k1_solve_count_is_small_and_seed_independent(harmonic2000,
+                                                                   sweep_hamiltonians,
+                                                                   factorizations):
+    solves, own = factorizations
+    for h in [harmonic2000.hamiltonian, *sweep_hamiltonians]:
+        solves.clear()
+        for seed in range(6):
+            solve_exact(h, 1, seed=seed)
+        assert len(solves) == 6 and len(set(solves)) == 1 and solves[0] <= 12
+    assert own == []
+
+
+def test_shift_invert_matches_eigsh_own_factorization(harmonic2000, soft_coulomb_oracle,
+                                                      sweep_hamiltonians):
+    # eigsh factoring H - sigma I itself (general LU, partial pivoting) is the
+    # reference for the symmetric-mode factor solve_exact passes as OPinv
+    soft_h, _, soft_energies = soft_coulomb_oracle
+    cases = [(harmonic2000.hamiltonian, harmonic2000.exact_energies),
+             (soft_h, soft_energies),
+             *((h, solve_exact(h, 1).energies) for h in sweep_hamiltonians)]
+    for h, energies in cases:
+        e_bo = _bo_lower_bound(h)
+        sigma = e_bo - _SHIFT_OFFSET * max(1.0, abs(e_bo))
+        v0 = np.random.default_rng(DEFAULT_SEED).standard_normal(h.dim)
+        ref = np.sort(eigsh(h.as_sparse, k=len(energies), sigma=sigma, v0=v0,
+                            return_eigenvectors=False))
+        assert np.allclose(energies, ref, rtol=1e-12, atol=0.0)
+
+
+def test_factorization_failure_is_a_solver_error(harmonic2000, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(exact, "splu", singular)
+    with pytest.raises(SolverError, match="exactly singular"):
+        solve_exact(harmonic2000.hamiltonian, 1)

@@ -76,7 +76,10 @@ def _object(value, context: str) -> dict:
 
 
 def _convert(kind, value, name: str):
-    """kind(value); a value of the wrong type, out of range or non-finite is a ConfigError naming the field."""
+    """kind(value); a value of the wrong type, out of range or non-finite, or a boolean or
+    fractional number for an int, is a ConfigError naming the field."""
+    if kind is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -137,8 +140,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         if not isinstance(sweep, list):
             raise ConfigError("sweep must be a list of mass ratios")
         sweep = [_convert(float, r, "sweep") for r in sweep]
-        if sweep != sorted(sweep):
-            raise ConfigError("sweep mass ratios must be ascending")
+        if any(b <= a for a, b in zip(sweep, sweep[1:])):
+            raise ConfigError("sweep mass ratios must be strictly ascending")
 
     def integer(key, default, least=1):
         value = _convert(int, data.get(key, default), key)

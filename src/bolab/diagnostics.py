@@ -262,15 +262,21 @@ class SingleRunResult:
 def run_pipeline(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
                  nuclear_levels: int = 2, region=None, t1_scale=None,
                  threshold: float = 10.0, seed: int = DEFAULT_SEED,
-                 exact_k: int = 1) -> SingleRunResult:
+                 exact_k: int = 1, field: ElectronicField | None = None) -> SingleRunResult:
     """Scan, solve, assemble, and compare one model against the exact oracle.
 
     ``region`` and ``t1_scale`` default to values derived from the ground
     nuclear state: mean +/- 2 sigma of its density, and the first nuclear
     level spacing. All uncertainty products (theta levels, reduced heavy
     states of every assembled level, every scanned slice state) are checked.
+    ``field`` defaults to ``scan_pes(spec, grid1, grid2, A)``. The scan holds
+    no M, so a mass sweep passes one field to every row; a field from other
+    grids or with another surface count is a ValueError.
     """
-    field = scan_pes(spec, grid1, grid2, A)
+    if field is None:
+        field = scan_pes(spec, grid1, grid2, A)
+    elif (field.grid1, field.grid2, field.n_surfaces) != (grid1, grid2, A):
+        raise ValueError("field was scanned on other grids or with another surface count")
     sol0 = solve_nuclear(field, spec, 0, nuclear_levels)
     nuclear = {0: sol0}
     states = [assemble_product_state(sol0, field, n) for n in range(nuclear_levels)]
@@ -339,21 +345,24 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
     """Run the full pipeline at each mass ratio and collect the error trend.
 
     ``spec`` supplies the light mass and potential; the heavy mass is set to
-    ratio * m per row. The ratios must be ascending. The per-row heavy region
-    and kinetic scale are re-derived from each row's nuclear ground state.
-    The compressed-spectrum summary at rank N is attached for the final
-    (largest) ratio. Rows run on ``threads`` workers and are collected in
-    ratio order, so the report is identical for any worker count.
+    ratio * m per row. The ratios must be strictly ascending (a repeat leaves
+    the slope undefined). The scan holds no M, so it runs once, before the
+    rows, and its failure names no mass ratio. The per-row heavy region and
+    kinetic scale are re-derived from each row's nuclear ground state. The
+    compressed-spectrum summary at rank N is attached for the final (largest)
+    ratio. Rows run on ``threads`` workers and are collected in ratio order,
+    so the report is identical for any worker count.
     """
     ratios = [float(r) for r in mass_ratios]
-    if sorted(ratios) != ratios:
-        raise ValueError("mass_ratios must be ascending")
+    if any(b <= a for a, b in zip(ratios, ratios[1:])):
+        raise ValueError("mass_ratios must be strictly ascending")
 
+    field = scan_pes(spec, grid1, grid2, A)
     results = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [(ratio, pool.submit(run_pipeline, spec.with_mass_ratio(ratio), grid1, grid2, A,
                                        nuclear_levels=nuclear_levels, threshold=threshold,
-                                       seed=seed))
+                                       seed=seed, field=field))
                    for ratio in ratios]
         for ratio, future in futures:
             try:

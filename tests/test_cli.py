@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from bolab.cli import load_config, main
+from bolab.cli import ConfigError, load_config, main
 from tests.conftest import CONFIG_DIR, REPO
 
 
@@ -134,9 +135,14 @@ def test_single_surface_compare_exits_2(tmp_path, command):
     lambda cfg: {**cfg, "heavy": {"t1_scale": float("nan")}},
     lambda cfg: {**cfg, "heavy": {"ratio_threshold": -float("inf")}},
     lambda cfg: {**cfg, "sweep": [10.0, float("nan")]},
+    lambda cfg: {**cfg, "sweep": [10.0, 10.0]},
+    lambda cfg: {**cfg, "grid1": {**cfg["grid1"], "n": 16.7}},
+    lambda cfg: {**cfg, "seed": 1.5},
+    lambda cfg: {**cfg, "n_surfaces": True},
 ], ids=["top_level_list", "heavy_list", "seed_null", "t1_scale_null", "sweep_number",
         "exact_k_overflow", "M_inf", "m_nan", "potential_k2_nan", "potential_k1_inf",
-        "region_nan", "t1_scale_nan", "ratio_threshold_minus_inf", "sweep_nan"])
+        "region_nan", "t1_scale_nan", "ratio_threshold_minus_inf", "sweep_nan",
+        "sweep_duplicate", "grid1_n_fractional", "seed_fractional", "n_surfaces_bool"])
 def test_malformed_config_exits_2(tmp_path, capsys, edit):
     cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
     path = tmp_path / "bad.json"
@@ -247,6 +253,25 @@ def test_bytes_independent_of_blas_threads(tmp_path, command):
         _run_with_blas_threads(command, CONFIG_DIR / "harmonic_m2000.json", out, threads)
         outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert outputs[1] and outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("field, value", [(("grid1", "n"), 16.7), (("seed",), 1.5),
+                                          (("n_surfaces",), True), (("threads",), False)],
+                         ids=["grid1_n_fractional", "seed_fractional", "n_surfaces_bool", "threads_bool"])
+def test_integer_field_rejects_fraction_and_bool_by_name(tmp_path, field, value):
+    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
+    target = cfg
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=rf"^{'.'.join(field)} must be an integer"):
+        load_config(str(path))
+    target[field[-1]] = 16.0  # an integral float still converts
+    path.write_text(json.dumps(cfg))
+    loaded = load_config(str(path))
+    assert attrgetter(".".join(field))(loaded) == 16
 
 
 def test_load_config_validates_counts(tmp_path):

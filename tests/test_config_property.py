@@ -4,6 +4,7 @@ import copy
 import json
 import math
 from dataclasses import astuple
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,14 @@ def _paths(obj, prefix=()):
 # every field of the bundled config, plus the two it leaves at their defaults
 FIELDS = list(_paths(BASE)) + [("sweep",), ("threads",)]
 
+# config paths read as integers; RunConfig holds each under the same dotted name
+INTEGER_FIELDS = {("grid1", "n"), ("grid2", "n"), ("n_surfaces",), ("projector_rank",),
+                  ("nuclear_levels",), ("exact_k",), ("seed",), ("threads",)}
+
 # values at the edges of what the checks accept (also as short lists, as region and
 # sweep take them), drawn as often as everything else
-EDGES = st.sampled_from([math.nan, math.inf, -math.inf, "auto", "nan", "-inf", "1e400", -1, 0])
+EDGES = st.sampled_from([math.nan, math.inf, -math.inf, "auto", "nan", "-inf", "1e400", -1, 0,
+                         True, 1.5, 16.0, 16.7])
 JSON_VALUES = EDGES | st.lists(EDGES | st.floats(), min_size=1, max_size=2) | st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text() | EDGES,
     lambda children: st.lists(children, max_size=4)
@@ -57,3 +63,8 @@ def test_load_config_rejects_or_returns_finite(tmp_path_factory, field, value):
         floats.append(cfg.heavy_t1_scale)
     assert all(math.isfinite(x) for x in floats)
     assert cfg.seed >= 0 and cfg.threads >= 1
+    if field in INTEGER_FIELDS:
+        # no silent truncation: an accepted number is taken as written, a digit string as its int
+        got = attrgetter(".".join(field))(cfg)
+        assert not isinstance(value, bool)
+        assert got == (int(value) if isinstance(value, str) else value)

@@ -16,6 +16,7 @@ from bolab.diagnostics import (UNCERTAINTY_SLACK, _sine_moments, compare_report,
                                nuclear_uncertainty, run_pipeline, slice_uncertainty_products,
                                t1_scale_candidates, uncertainty_product,
                                uncertainty_product_stencil)
+from bolab.clamped import scan_pes
 from bolab.exact import assemble_full_hamiltonian
 from bolab.grid import GridFunction, build_grid
 from bolab.model import HarmonicCoupling, ModelSpec
@@ -196,8 +197,10 @@ def test_sweep_requires_ascending_ratios():
     spec = ModelSpec(M=10.0, m=1.0, potential=HarmonicCoupling(1.0, 1.0))
     g1 = build_grid(-2.4, 2.4, 16)
     g2 = build_grid(-8.5, 8.5, 16)
-    with pytest.raises(ValueError):
-        kappa_scaling_study(spec, [100.0, 10.0], g1, g2, A=2)
+    # a repeated ratio would give polyfit a rank-deficient fit and a made-up slope
+    for ratios in ([100.0, 10.0], [10.0, 10.0]):
+        with pytest.raises(ValueError):
+            kappa_scaling_study(spec, ratios, g1, g2, A=2)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -218,22 +221,54 @@ def test_sweep_failure_names_offending_ratio(monkeypatch, threads):
 def test_one_hamiltonian_per_pipeline_pass(monkeypatch):
     import bolab.diagnostics as diag
 
-    calls = []
+    calls, scans = [], []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return assemble_full_hamiltonian(*args, **kwargs)
 
+    def counting_scan(*args, **kwargs):
+        scans.append(args)
+        return scan_pes(*args, **kwargs)
+
     monkeypatch.setattr(diag, "assemble_full_hamiltonian", counting)
+    monkeypatch.setattr(diag, "scan_pes", counting_scan)
     spec = ModelSpec(M=10.0, m=1.0, potential=HarmonicCoupling(1.0, 1.0))
     g1 = build_grid(-2.4, 2.4, 16)
     g2 = build_grid(-8.5, 8.5, 16)
     compare_report(spec, g1, g2, A=2, N=2)
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(scans) == 1
     calls.clear()
+    scans.clear()
     ratios = [10.0, 100.0]
     kappa_scaling_study(spec, ratios, g1, g2, A=2, threads=2)
     assert len(calls) == len(ratios)
+    # the clamped family holds no M: one scan serves every row
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_shared_field_rows_equal_self_scanned_rows(threads):
+    spec = ModelSpec(M=10.0, m=1.0, potential=HarmonicCoupling(1.0, 1.0))
+    g1 = build_grid(-2.4, 2.4, 24)
+    g2 = build_grid(-8.5, 8.5, 16)
+    ratios = [10.0, 100.0, 1000.0]
+    report = kappa_scaling_study(spec, ratios, g1, g2, A=2, threads=threads)
+    assert report.rows == [run_pipeline(spec.with_mass_ratio(r), g1, g2, 2).row for r in ratios]
+
+
+@pytest.mark.parametrize("grid1, grid2, A", [
+    ((-2.4, 2.4, 20), (-8.5, 8.5, 16), 2),
+    ((-2.4, 2.4, 16), (-8.0, 8.5, 16), 2),
+    ((-2.4, 2.4, 16), (-8.5, 8.5, 16), 3),
+], ids=["grid1", "grid2", "n_surfaces"])
+def test_run_pipeline_rejects_foreign_field(grid1, grid2, A):
+    spec = ModelSpec(M=10.0, m=1.0, potential=HarmonicCoupling(1.0, 1.0))
+    g1 = build_grid(-2.4, 2.4, 16)
+    g2 = build_grid(-8.5, 8.5, 16)
+    field = scan_pes(spec, build_grid(*grid1), build_grid(*grid2), A)
+    with pytest.raises(ValueError, match="other grids or with another surface count"):
+        run_pipeline(spec, g1, g2, 2, field=field)
 
 
 def test_equal_mass_control_case():

@@ -76,10 +76,12 @@ def _object(value, context: str) -> dict:
 
 
 def _convert(kind, value, name: str):
-    """kind(value); a value of the wrong type, out of range or non-finite, or a boolean or
-    fractional number for an int, is a ConfigError naming the field."""
-    if kind is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
-        raise ConfigError(f"{name} must be an integer, not {value!r}")
+    """kind(value); a value of the wrong type, out of range or non-finite, a boolean for a
+    number, or a fractional number for an int, is a ConfigError naming the field."""
+    noun = {int: "an integer", float: "a number"}.get(kind)
+    if noun and (isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                             and not value.is_integer())):
+        raise ConfigError(f"{name} must be {noun}, not {value!r}")
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -240,8 +242,8 @@ def run_project(cfg: RunConfig, out: Path) -> list:
     field = scan_pes(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces)
     h = assemble_full_hamiltonian(cfg.model, cfg.grid1, cfg.grid2)
     exact = solve_exact(h, 1, seed=cfg.seed)
-    k = min(cfg.exact_k, cfg.projector_rank * cfg.grid1.n)
-    eff = solve_effective(build_projector(field, cfg.projector_rank), h, k)
+    p = build_projector(field, cfg.projector_rank)
+    eff = solve_effective(p, h, min(cfg.exact_k, p.subspace_dim - 1))
     write_json(out / "heff_energies.json", {
         "schema_version": SCHEMA_VERSION,
         "N": cfg.projector_rank,

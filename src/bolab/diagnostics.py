@@ -98,14 +98,14 @@ def _column_moments(values: np.ndarray, grid: Grid1D):
     """<u>, <u^2>, <p>, <p^2>, each of shape (r,), for the (n, r) grid vectors ``values``.
 
     u = x - x_min; columns may be complex. <p> = c^H (-i QG) c is taken as
-    imag(c^H QG c), which is exactly zero for real columns.
+    imag(c^H QG c), which is exactly zero for real columns, so they skip it.
     """
     sm = _sine_moments(grid.n, grid.length)
     c = np.sqrt(grid.h) * (sm.S @ values)
     cc = np.conj(c)
     mean_u = np.real(np.sum(cc * (sm.X1 @ c), axis=0))
     mean_u2 = np.real(np.sum(cc * (sm.X2 @ c), axis=0))
-    mean_p = np.imag(np.sum(cc * (sm.QG @ c), axis=0))
+    mean_p = np.imag(np.sum(cc * (sm.QG @ c), axis=0)) if np.iscomplexobj(c) else np.zeros(c.shape[1])
     mean_p2 = np.sum(sm.q[:, None] ** 2 * np.abs(c) ** 2, axis=0)
     return mean_u, mean_u2, mean_p, mean_p2
 
@@ -354,6 +354,8 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
     so the report is identical for any worker count.
     """
     ratios = [float(r) for r in mass_ratios]
+    if not ratios:
+        raise ValueError("mass_ratios is empty: a sweep needs at least one mass ratio")
     if any(b <= a for a, b in zip(ratios, ratios[1:])):
         raise ValueError("mass_ratios must be strictly ascending")
 

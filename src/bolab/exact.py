@@ -9,7 +9,8 @@ pieces, dense below a size threshold and shift-invert Lanczos above it.
 The shift is the Born-Oppenheimer lower bound, computed here from H's own
 pieces (two tridiagonal ground-state solves), so the oracle takes no
 adiabatic input; H - sigma I is then positive definite and factored once,
-unpivoted. Grid sums run in a fixed order, whatever the BLAS thread count.
+unpivoted (``projection`` shares this route). Grid sums run in a fixed order,
+whatever the BLAS thread count.
 """
 
 import math
@@ -94,19 +95,20 @@ class ExactSolution:
     residuals: np.ndarray  # (k,) operator residual norms
 
 
-def _bo_lower_bound(h: FullHamiltonian) -> float:
+def _bo_lower_bound(h: FullHamiltonian, lam0=None) -> float:
     """Born-Oppenheimer ground energy without the Born-Huang term: a lower bound on E_0.
 
     Each clamped slice obeys T2 + W[i] >= lambda_0(x1_i), so
     H >= (T1 + diag lambda_0) (x) I and the ground energy of T1 + lambda_0
     cannot exceed the lowest eigenvalue of H (Brattsev 1965, Epstein 1966).
-    Built from H's own pieces: one tridiagonal ground-state solve per heavy
-    point, then one on the heavy grid.
+    ``lam0`` defaults to H's own pieces, one tridiagonal ground-state solve
+    per heavy point; then one solve on the heavy grid.
     """
-    d2, e2 = kinetic_diagonals(h.grid2, h.mass2)
-    lam0 = np.array([eigh_tridiagonal(d2 + w, e2, eigvals_only=True,
-                                      select="i", select_range=(0, 0))[0]
-                     for w in h.potential_grid])
+    if lam0 is None:
+        d2, e2 = kinetic_diagonals(h.grid2, h.mass2)
+        lam0 = np.array([eigh_tridiagonal(d2 + w, e2, eigvals_only=True,
+                                          select="i", select_range=(0, 0))[0]
+                         for w in h.potential_grid])
     d1, e1 = kinetic_diagonals(h.grid1, h.mass1)
     return float(eigh_tridiagonal(d1 + lam0, e1, eigvals_only=True,
                                   select="i", select_range=(0, 0))[0])
@@ -117,19 +119,42 @@ def _ncv(k: int) -> int:
     return 7 if k == 1 else max(20, 8 * k + 4)
 
 
+def _lowest_above(e_bo: float, dim: int, factor, k: int, seed: int, vectors: bool = True):
+    """Lowest k eigenvalues (ascending; with unit eigenvectors if ``vectors``) of a symmetric
+    operator bounded below by ``e_bo``, by shift-invert Lanczos.
+
+    The shift sits _SHIFT_OFFSET (relative) below the bound, so the k nearest
+    eigenvalues are the lowest k, and Lanczos converges in few solves.
+    ``factor(sigma)`` factors the operator minus sigma I once and returns its
+    solve, ARPACK's OPinv and all it reads of the operator. The start vector
+    is seeded, so reruns are bit-identical. Any failure is a SolverError.
+    """
+    v0 = np.random.default_rng(seed).standard_normal(dim)
+    sigma = e_bo - _SHIFT_OFFSET * max(1.0, abs(e_bo))
+    # ARPACK's default ncv, max(2k+1, 20), needs a restart at k >= 3 for some
+    # start vectors; _ncv(k) takes one pass for every seed on the bundled
+    # configs (k = 3..6), and at k = 1 7 vectors take 8 solves where 20 took
+    # 21. ARPACK needs k < ncv <= dim.
+    try:
+        opinv = LinearOperator((dim, dim), matvec=factor(sigma), dtype=float)
+        out = eigsh(opinv, k=k, sigma=sigma, which="LM", v0=v0, ncv=min(_ncv(k), dim),
+                    OPinv=opinv, return_eigenvectors=vectors)
+    except Exception as exc:
+        raise SolverError(f"iterative eigensolve failed: {exc}") from exc
+    vals, vecs = out if vectors else (out, None)
+    order = np.argsort(vals)
+    return (vals[order], vecs[:, order]) if vectors else vals[order]
+
+
 def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED) -> ExactSolution:
     """Lowest k eigenpairs of the product-grid Hamiltonian.
 
-    Dense below DENSE_LIMIT, otherwise ARPACK in shift-invert mode with the
-    shift _SHIFT_OFFSET (relative) below the Born-Oppenheimer lower bound
-    ``_bo_lower_bound(h)``. Every eigenvalue lies above the shift, so the k
-    eigenvalues nearest it are the lowest k, and the bound sits close to E_0,
-    so Lanczos converges in few shift-invert solves. H - sigma I is then
+    Dense below DENSE_LIMIT, otherwise ``_lowest_above`` with the
+    Born-Oppenheimer lower bound ``_bo_lower_bound(h)``. H - sigma I is then
     positive definite, so its unpivoted symmetric-mode factorization (an
     LDL^T, built once) is ARPACK's OPinv. Most supernodes of these grid
     factors are 1-4 columns wide, so 5-column panels factor them in 13-23%
-    less time than SuperLU's default 20, with the same fill. The start
-    vector comes from a seeded generator so repeated runs are bit-identical.
+    less time than SuperLU's default 20, with the same fill.
     Residuals are verified against ``|H v - E v| <= 1e-9 |E|`` and reported.
     A failed factorization or Lanczos run is a SolverError.
     """
@@ -142,25 +167,10 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED) -> ExactSo
     if dim <= DENSE_LIMIT:
         vals, vecs = eigh(hs.toarray(), subset_by_index=(0, k - 1))
     else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(dim)
-        e_bo = _bo_lower_bound(h)
-        sigma = e_bo - _SHIFT_OFFSET * max(1.0, abs(e_bo))
-        # With ARPACK's default ncv, max(2k+1, 20), the k-th pair at k >= 3
-        # converges in one Lanczos pass for some start vectors and needs a
-        # restart for others; _ncv(k) converges in one pass on every bundled
-        # config at k = 3..6, so the cost does not depend on the seed. At
-        # k = 1, 7 vectors take 8 solves (12 at M/m = 10) where 20 took 21.
-        try:
-            # narrow panels suit the mostly 1-4 column supernodes: faster, same fill
-            lu = splu(hs - sigma * sp.identity(dim, format="csc"), permc_spec="MMD_AT_PLUS_A",
-                      diag_pivot_thresh=0.0, panel_size=5, options={"SymmetricMode": True})
-            opinv = LinearOperator((dim, dim), matvec=lu.solve, dtype=float)
-            vals, vecs = eigsh(hs, k=k, sigma=sigma, which="LM", v0=v0, ncv=_ncv(k), OPinv=opinv)
-        except Exception as exc:
-            raise SolverError(f"iterative eigensolve failed: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        def factor(sigma):  # 5-column panels suit the mostly 1-4 column supernodes
+            return splu(hs - sigma * sp.identity(dim, format="csc"), permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0, panel_size=5, options={"SymmetricMode": True}).solve
+        vals, vecs = _lowest_above(_bo_lower_bound(h), dim, factor, k, seed)
 
     resid = (hs @ vecs - vecs * vals).T.reshape(k, h.grid1.n, h.grid2.n)
     residuals = np.array([math.sqrt(_grid_dot(r, r)) for r in resid])

@@ -221,6 +221,20 @@ def test_factorization_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "exactly singular" in capsys.readouterr().err
 
 
+def test_compressed_factorization_failure_exits_3(tmp_path, monkeypatch, capsys):
+    from scipy.linalg import LinAlgError
+
+    from bolab import projection
+
+    def not_positive_definite(*args, **kwargs):
+        raise LinAlgError("1-th leading minor not positive definite")
+
+    monkeypatch.setattr(projection, "cholesky_banded", not_positive_definite)
+    assert _run("project", CONFIG_DIR / "separable.json", tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and "not positive definite" in err
+
+
 def test_non_finite_result_exits_3(tmp_path, monkeypatch, capsys):
     from bolab import cli
 
@@ -272,6 +286,21 @@ def test_integer_field_rejects_fraction_and_bool_by_name(tmp_path, field, value)
     path.write_text(json.dumps(cfg))
     loaded = load_config(str(path))
     assert attrgetter(".".join(field))(loaded) == 16
+
+
+@pytest.mark.parametrize("field, value", [(("model", "M"), True),
+                                          (("heavy", "ratio_threshold"), False)],
+                         ids=["model_M_bool", "ratio_threshold_bool"])
+def test_float_field_rejects_bool_by_name(tmp_path, field, value):
+    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
+    target = cfg
+    for key in field[:-1]:
+        target = target.setdefault(key, {})
+    target[field[-1]] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=rf"^{'.'.join(field)} must be a number, not {value}"):
+        load_config(str(path))
 
 
 def test_load_config_validates_counts(tmp_path):

@@ -203,6 +203,20 @@ def test_sweep_requires_ascending_ratios():
             kappa_scaling_study(spec, ratios, g1, g2, A=2)
 
 
+def test_empty_sweep_is_named_before_the_scan(monkeypatch):
+    import bolab.diagnostics as diag
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan_pes called for an empty sweep")
+
+    monkeypatch.setattr(diag, "scan_pes", no_scan)
+    spec = ModelSpec(M=10.0, m=1.0, potential=HarmonicCoupling(1.0, 1.0))
+    g1 = build_grid(-2.4, 2.4, 16)
+    g2 = build_grid(-8.5, 8.5, 16)
+    with pytest.raises(ValueError, match="mass_ratios is empty"):
+        kappa_scaling_study(spec, [], g1, g2, A=2)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_failure_names_offending_ratio(monkeypatch, threads):
     import bolab.diagnostics as diag

@@ -82,6 +82,30 @@ def test_full_rank_compression_reproduces_spectrum():
     assert np.max(np.abs(compressed - full)) < 1e-9
 
 
+def test_tiny_subspace_matches_band_eigenvalues():
+    # n1 = 8, N = 1: the Lanczos basis is clamped to the 8-dimensional subspace
+    field, h = _small_full_rank_setup()
+    p = build_projector(field, 1)
+    want = eigvals_banded(effective_matrix(p, h), select="i", select_range=(0, 2))
+    got = solve_effective(p, h, 3).energies
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    with pytest.raises(ValueError):
+        solve_effective(p, h, p.subspace_dim)
+
+
+def test_shift_above_the_compressed_spectrum_is_a_solver_error(monkeypatch):
+    # the banded Cholesky of band - sigma I checks the lower bound rather than trusting it
+    from bolab import projection
+    from bolab.exact import SolverError
+
+    field, h = _small_full_rank_setup()
+    p = build_projector(field, 2)
+    top = float(eigvals_banded(effective_matrix(p, h))[-1])
+    monkeypatch.setattr(projection, "_bo_lower_bound", lambda *args: top + 1.0)
+    with pytest.raises(SolverError, match="not positive definite"):
+        solve_effective(p, h, 1)
+
+
 def test_effective_annihilates_orthogonal_complement(harmonic2000, harmonic2000_setup):
     spec, g1, g2 = harmonic2000_setup
     field = harmonic2000.field

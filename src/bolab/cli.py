@@ -110,7 +110,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 
     data = {**_object(data, "config"), **(overrides or {})}
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
 
     try:
@@ -241,7 +241,7 @@ def run_exact(cfg: RunConfig, out: Path) -> list:
 def run_project(cfg: RunConfig, out: Path) -> list:
     field = scan_pes(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces)
     h = assemble_full_hamiltonian(cfg.model, cfg.grid1, cfg.grid2)
-    exact = solve_exact(h, 1, seed=cfg.seed)
+    exact = solve_exact(h, 1, seed=cfg.seed, lam0=field.energies[0])
     p = build_projector(field, cfg.projector_rank)
     eff = solve_effective(p, h, min(cfg.exact_k, p.subspace_dim - 1))
     write_json(out / "heff_energies.json", {

@@ -271,7 +271,8 @@ def run_pipeline(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
     states of every assembled level, every scanned slice state) are checked.
     ``field`` defaults to ``scan_pes(spec, grid1, grid2, A)``. The scan holds
     no M, so a mass sweep passes one field to every row; a field from other
-    grids or with another surface count is a ValueError.
+    grids or with another surface count is a ValueError. Its lambda_0 is the
+    oracle's shift hint, which ``solve_exact`` certifies before use.
     """
     if field is None:
         field = scan_pes(spec, grid1, grid2, A)
@@ -283,7 +284,7 @@ def run_pipeline(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
 
     h = assemble_full_hamiltonian(spec, grid1, grid2)
     rq = rayleigh_quotient(h, states[0].amplitudes)
-    exact = solve_exact(h, k=exact_k, seed=seed)
+    exact = solve_exact(h, k=exact_k, seed=seed, lam0=field.energies[0])
     rel_err = abs(rq - exact.energies[0]) / abs(exact.energies[0])
 
     t1_cands = t1_scale_candidates(sol0, spec.M)

@@ -5,12 +5,14 @@ H = T1 + T2 + W assembled without any adiabatic input, diagonalized
 directly. The operator is kept matrix-free for probes and Rayleigh
 quotients (rows carry the heavy kinetic stencil, columns the light one,
 W acts pointwise); the eigensolver works on a sparse assembly of the same
-pieces, dense below a size threshold and shift-invert Lanczos above it.
-The shift is the Born-Oppenheimer lower bound, computed here from H's own
-pieces (two tridiagonal ground-state solves), so the oracle takes no
-adiabatic input; H - sigma I is then positive definite and factored once,
-unpivoted (``projection`` shares this route). Grid sums run in a fixed order,
-whatever the BLAS thread count.
+pieces, built from its five diagonals, by shift-invert Lanczos at every size.
+The shift sits below the Born-Oppenheimer lower bound, the ground energy of
+T1 + diag lambda_0. lambda_0 comes from H's own pieces (one tridiagonal
+solve per heavy point), or from a caller's scan as a hint that a Sturm count
+certifies before it is used, so the shift is verified rather than trusted.
+H - sigma I is then positive definite and factored once, unpivoted
+(``projection`` shares this route). Grid sums run in a fixed order, whatever
+the BLAS thread count.
 """
 
 import math
@@ -18,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .grid import Grid1D, kinetic_diagonals, second_difference, stencil_diagonals
 from .model import ModelSpec, evaluate_potential
 
-DENSE_LIMIT = 4096          # largest product dimension solved by dense eigh
 MAX_PRODUCT_DIM = 120_000   # guard against accidentally huge product grids
 RESIDUAL_RTOL = 1e-9
 DEFAULT_SEED = 20240817
@@ -65,17 +66,20 @@ class FullHamiltonian:
 
     @property
     def as_sparse(self) -> sp.csc_matrix:
-        """Sparse assembly of the same operator; built afresh on every access."""
-        t1 = _kinetic_sparse(self.grid1, self.mass1)
-        t2 = _kinetic_sparse(self.grid2, self.mass2)
-        h = (sp.kron(t1, sp.identity(self.grid2.n)) + sp.kron(sp.identity(self.grid1.n), t2)
-             + sp.diags(self.potential_grid.ravel()))
-        return h.tocsc()
-
-
-def _kinetic_sparse(grid: Grid1D, mass: float) -> sp.dia_matrix:
-    d, e = stencil_diagonals(grid)
-    return -sp.diags([e, d, e], [-1, 0, 1]) / (2.0 * mass)
+        """Sparse assembly of the same operator, from its five diagonals; built afresh on every
+        access. Row-major index i n2 + j: the main diagonal is (T1 + T2) + W, the light stencil
+        sits at offsets +-1 (zero across heavy rows, dropped) and the heavy one at +-n2."""
+        n1, n2 = self.grid1.n, self.grid2.n
+        # -stencil times the reciprocal of 2 mass, the rounding scipy gives a sparse matrix
+        # divided by a scalar; the oracle's artifacts are pinned to it (kinetic_diagonals differs)
+        (d1, e1), (d2, e2) = ([v * (-1.0 / (2.0 * mass)) for v in stencil_diagonals(g)]
+                              for g, mass in ((self.grid1, self.mass1), (self.grid2, self.mass2)))
+        main = (np.repeat(d1, n2) + np.tile(d2, n1)) + self.potential_grid.ravel()
+        light = np.tile(np.append(e2, 0.0), n1)[:-1]
+        heavy = np.repeat(e1, n2)
+        hs = sp.diags([heavy, light, main, light, heavy], [-n2, -1, 0, 1, n2], format="csc")
+        hs.eliminate_zeros()
+        return hs
 
 
 def assemble_full_hamiltonian(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D) -> FullHamiltonian:
@@ -114,6 +118,45 @@ def _bo_lower_bound(h: FullHamiltonian, lam0=None) -> float:
                                   select="i", select_range=(0, 0))[0])
 
 
+def _sturm_counts(d: np.ndarray, e: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues below ``mu[i]`` of each symmetric tridiagonal (``d[i]``, ``e``).
+
+    ``d`` is (r, n), ``e`` (n - 1,) and ``mu`` (r,). The count is that of the negative
+    pivots of the LDL^T of T - mu I (Sylvester's inertia), run over the n rows and
+    numpy-wide over the r matrices. In floating point it is the exact count for a
+    matrix a few ulps from T (Kahan 1966). A pivot within pivmin of zero is taken
+    as -pivmin, as LAPACK's bisection does, and a NaN pivot counts too.
+    """
+    e2 = e * e
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
+    counts = np.zeros(len(mu), dtype=int)
+    q = np.ones(len(mu))
+    for row, off in zip(np.ascontiguousarray((d - mu[:, None]).T), np.append(0.0, e2)):
+        q = row - off / q
+        q[np.abs(q) <= pivmin] = -pivmin
+        counts += ~(q > 0)
+    return counts
+
+
+def _certified_bo_bound(h: FullHamiltonian, lam0) -> float:
+    """``_bo_lower_bound(h, lam0)`` for a hint ``lam0`` of the slice ground energies,
+    certified: no slice T2 + W[i] may have an eigenvalue below lam0[i] - delta,
+    delta = _SHIFT_OFFSET max(1, |E_BO|) / 2, or this is a SolverError.
+
+    The true lambda_0 then lies at or above lam0 - delta, so the true BO bound lies at
+    or above E_BO - delta, above the shift E_BO - 2 delta that ``_lowest_above`` takes.
+    """
+    e_bo = _bo_lower_bound(h, lam0)
+    delta = 0.5 * _SHIFT_OFFSET * max(1.0, abs(e_bo))
+    d2, e2 = kinetic_diagonals(h.grid2, h.mass2)
+    below = _sturm_counts(d2 + h.potential_grid, e2, lam0 - delta)
+    if below.any():
+        i = int(np.flatnonzero(below)[0])
+        raise SolverError(f"lambda_0 hint is not a lower bound: slice {i} has {below[i]} "
+                          f"eigenvalue(s) below {lam0[i] - delta!r}")
+    return e_bo
+
+
 def _ncv(k: int) -> int:
     """Lanczos basis size for k shift-invert eigenpairs: 7 at k = 1, else max(20, 8k + 4)."""
     return 7 if k == 1 else max(20, 8 * k + 4)
@@ -146,15 +189,19 @@ def _lowest_above(e_bo: float, dim: int, factor, k: int, seed: int, vectors: boo
     return (vals[order], vecs[:, order]) if vectors else vals[order]
 
 
-def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED) -> ExactSolution:
+def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
+                lam0=None) -> ExactSolution:
     """Lowest k eigenpairs of the product-grid Hamiltonian.
 
-    Dense below DENSE_LIMIT, otherwise ``_lowest_above`` with the
-    Born-Oppenheimer lower bound ``_bo_lower_bound(h)``. H - sigma I is then
-    positive definite, so its unpivoted symmetric-mode factorization (an
-    LDL^T, built once) is ARPACK's OPinv. Most supernodes of these grid
-    factors are 1-4 columns wide, so 5-column panels factor them in 13-23%
-    less time than SuperLU's default 20, with the same fill.
+    ``_lowest_above`` with the Born-Oppenheimer lower bound. ``lam0``, the slice ground
+    energies lambda_0(x1_i) from a scan of the same model and grids, saves the n1 light
+    solves of ``_bo_lower_bound(h)``; it is a hint, certified by a Sturm count before
+    anything is factored (``_certified_bo_bound``), and one that sits above a slice's
+    ground energy by more than half the shift offset is a SolverError, never a wrong
+    shift. H - sigma I is then positive definite, so its unpivoted symmetric-mode
+    factorization (an LDL^T, built once) is ARPACK's OPinv.
+    Most supernodes of these grid factors are 1-4 columns wide, so 5-column panels
+    factor them in 13-23% less time than SuperLU's default 20, with the same fill.
     Residuals are verified against ``|H v - E v| <= 1e-9 |E|`` and reported.
     A failed factorization or Lanczos run is a SolverError.
     """
@@ -163,14 +210,13 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED) -> ExactSo
     dim = h.dim
     if k >= dim:
         raise ValueError("k must be smaller than the product dimension")
+    e_bo = _bo_lower_bound(h) if lam0 is None else _certified_bo_bound(h, lam0)
     hs = h.as_sparse
-    if dim <= DENSE_LIMIT:
-        vals, vecs = eigh(hs.toarray(), subset_by_index=(0, k - 1))
-    else:
-        def factor(sigma):  # 5-column panels suit the mostly 1-4 column supernodes
-            return splu(hs - sigma * sp.identity(dim, format="csc"), permc_spec="MMD_AT_PLUS_A",
-                        diag_pivot_thresh=0.0, panel_size=5, options={"SymmetricMode": True}).solve
-        vals, vecs = _lowest_above(_bo_lower_bound(h), dim, factor, k, seed)
+
+    def factor(sigma):  # 5-column panels suit the mostly 1-4 column supernodes
+        return splu(hs - sigma * sp.identity(dim, format="csc"), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, panel_size=5, options={"SymmetricMode": True}).solve
+    vals, vecs = _lowest_above(e_bo, dim, factor, k, seed)
 
     resid = (hs @ vecs - vecs * vals).T.reshape(k, h.grid1.n, h.grid2.n)
     residuals = np.array([math.sqrt(_grid_dot(r, r)) for r in resid])

@@ -169,8 +169,13 @@ def potential_from_dict(data: dict) -> Potential:
     missing = [name for name in fields if name not in data]
     if missing:
         raise ValueError(f"potential family {family!r} is missing parameters {missing}")
-    params = {name: float(data[name]) for name in fields}
-    for name, value in params.items():
-        if not np.isfinite(value):
-            raise ValueError(f"potential.{name} must be finite, not {value}")
+    params = {}
+    for name in fields:
+        value = data[name]
+        try:
+            params[name] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"potential.{name}: {exc}") from None
+        if isinstance(value, bool) or not np.isfinite(params[name]):
+            raise ValueError(f"potential.{name} must be a finite number, not {value!r}")
     return cls(**params)

@@ -4,7 +4,7 @@
 
 The first step is the Brattsev-Epstein bound, the middle steps are
 Rayleigh-Ritz on nested subspaces (the compressed spectrum comes from the
-banded solve, the exact one from the oracle's dense path), and the last
+banded solve, the exact one from the oracle's shift-invert path), and the last
 holds because the BO product state lies in the rank-1 range. The draws
 also check the projector facts and sigma_x sigma_p >= 1/2 for every
 product and slice state.

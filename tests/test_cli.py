@@ -303,6 +303,19 @@ def test_float_field_rejects_bool_by_name(tmp_path, field, value):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("value, message", [(True, " must be a finite number, not True"),
+                                            (False, " must be a finite number, not False"),
+                                            ("abc", ": could not convert"), (None, ": float()")],
+                         ids=["true", "false", "string", "null"])
+def test_potential_parameter_rejects_non_numbers_by_name(tmp_path, capsys, value, message):
+    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
+    cfg["model"]["potential"]["k2"] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("pes", path, tmp_path) == 2
+    assert f"config error: potential.k2{message}" in capsys.readouterr().err
+
+
 def test_load_config_validates_counts(tmp_path):
     cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
     cfg["projector_rank"] = 5  # exceeds n_surfaces

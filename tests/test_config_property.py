@@ -33,7 +33,7 @@ INTEGER_FIELDS = {("grid1", "n"), ("grid2", "n"), ("n_surfaces",), ("projector_r
 # values at the edges of what the checks accept (also as short lists, as region and
 # sweep take them), drawn as often as everything else
 EDGES = st.sampled_from([math.nan, math.inf, -math.inf, "auto", "nan", "-inf", "1e400", -1, 0,
-                         True, 1.5, 16.0, 16.7])
+                         True, False, 1.5, 16.0, 16.7])
 JSON_VALUES = EDGES | st.lists(EDGES | st.floats(), min_size=1, max_size=2) | st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text() | EDGES,
     lambda children: st.lists(children, max_size=4)
@@ -56,6 +56,7 @@ def test_load_config_rejects_or_returns_finite(tmp_path_factory, field, value):
         cfg = load_config(str(path))
     except ConfigError:
         return
+    assert not isinstance(value, bool)  # no field reads a JSON boolean as a number
     floats = [cfg.model.M, cfg.model.m, *astuple(cfg.model.potential), cfg.heavy_threshold,
               *(cfg.heavy_region or ()), *(cfg.sweep or ())]
     floats += [getattr(g, name) for g in (cfg.grid1, cfg.grid2) for name in ("x_min", "x_max", "h")]
@@ -66,5 +67,4 @@ def test_load_config_rejects_or_returns_finite(tmp_path_factory, field, value):
     if field in INTEGER_FIELDS:
         # no silent truncation: an accepted number is taken as written, a digit string as its int
         got = attrgetter(".".join(field))(cfg)
-        assert not isinstance(value, bool)
         assert got == (int(value) if isinstance(value, str) else value)

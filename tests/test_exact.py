@@ -4,15 +4,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh
 
 from bolab import exact
-from bolab.exact import (_SHIFT_OFFSET, DEFAULT_SEED, DENSE_LIMIT, SolverError, _bo_lower_bound,
-                         _ncv, assemble_full_hamiltonian, product_inner, rayleigh_quotient,
-                         solve_exact)
+from bolab.clamped import scan_pes
+from bolab.diagnostics import run_pipeline
+from bolab.exact import (_SHIFT_OFFSET, DEFAULT_SEED, SolverError, _bo_lower_bound, _ncv,
+                         _sturm_counts, assemble_full_hamiltonian, product_inner,
+                         rayleigh_quotient, solve_exact)
 from bolab.grid import build_grid, stencil_diagonals
-from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic,
+from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
                          analytic_normal_modes)
 
 
@@ -67,15 +70,14 @@ def _oned_levels(grid, mass, potential_values, k):
     return vals
 
 
-@pytest.mark.parametrize("n,expect_dense", [(24, True), (72, False)])
-def test_separable_eigenvalues_are_sums(n, expect_dense):
+@pytest.mark.parametrize("n", [24, 72])
+def test_separable_eigenvalues_are_sums(n):
     # tensor-separable potential: product-grid spectrum is exactly the sums of
-    # the 1-D spectra, on both the dense and the iterative solver path
+    # the 1-D spectra, on a small and a larger grid
     spec = ModelSpec(M=2.0, m=1.0, potential=SeparableHarmonic(1.0, 2.0))
     g1 = build_grid(-6.0, 6.0, n)
     g2 = build_grid(-6.0, 6.0, n)
     h = assemble_full_hamiltonian(spec, g1, g2)
-    assert (h.dim <= 4096) == expect_dense
     k = 6
     sol = solve_exact(h, k)
     e1 = _oned_levels(g1, 2.0, 0.5 * 1.0 * g1.points**2, k)
@@ -164,7 +166,6 @@ def _oracle_cases(harmonic2000, separable_run, soft_coulomb_oracle):
 def test_bo_lower_bound_sits_below_the_exact_ground_energy(harmonic2000, separable_run,
                                                            soft_coulomb_oracle):
     for h, _, exact in _oracle_cases(harmonic2000, separable_run, soft_coulomb_oracle):
-        assert h.dim > DENSE_LIMIT
         assert _bo_lower_bound(h) <= exact[0]
 
 
@@ -261,3 +262,92 @@ def test_factorization_failure_is_a_solver_error(harmonic2000, monkeypatch):
     monkeypatch.setattr(exact, "splu", singular)
     with pytest.raises(SolverError, match="exactly singular"):
         solve_exact(harmonic2000.hamiltonian, 1)
+
+
+# --------------------------------------------------------------------------
+# assembly from the five diagonals, and the certified lambda_0 hint
+
+def _kron_sum(h):
+    """Reference assembly: T1 (x) I + I (x) T2 + diag W, each T scaled by 1/(2 mass) as a matrix."""
+    def kinetic(grid, mass):
+        d, e = stencil_diagonals(grid)
+        return sp.diags([e, d, e], [-1, 0, 1]) * (-1.0 / (2.0 * mass))
+    n1, n2 = h.grid1.n, h.grid2.n
+    return (sp.kron(kinetic(h.grid1, h.mass1), sp.identity(n2))
+            + sp.kron(sp.identity(n1), kinetic(h.grid2, h.mass2))
+            + sp.diags(h.potential_grid.ravel())).tocsc()
+
+
+@pytest.mark.parametrize("spec, n1, n2", [
+    (_harmonic(M=2000.0), 128, 128),
+    (ModelSpec(M=100.0, m=1.0, potential=SoftCoulomb(1.0, 1.0, 1.0)), 24, 40),
+    (ModelSpec(M=3.0, m=1.0, potential=SeparableHarmonic(1.0, 2.0)), 8, 9),
+], ids=["harmonic_m2000", "soft_coulomb", "separable_smallest"])
+def test_sparse_assembly_is_the_kron_sum(spec, n1, n2):
+    h = assemble_full_hamiltonian(spec, build_grid(-0.65, 0.65, n1), build_grid(-5.5, 5.5, n2))
+    hs = h.as_sparse
+    assert hs.format == "csc"
+    assert hs.nnz == n1 * n2 + 2 * (n1 - 1) * n2 + 2 * n1 * (n2 - 1)
+    assert hs.has_sorted_indices
+    assert all(np.all(np.diff(hs.indices[a:b]) > 0) for a, b in zip(hs.indptr, hs.indptr[1:]))
+    assert np.all(hs.data != 0.0)
+    ref = _kron_sum(h)
+    assert np.array_equal(hs.indptr, ref.indptr) and np.array_equal(hs.indices, ref.indices)
+    assert hs.data.tobytes() == ref.data.tobytes()
+
+
+def test_sturm_counts_match_eigh_tridiagonal():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        r, n = rng.integers(1, 6), rng.integers(1, 40)
+        d = rng.standard_normal((r, n))
+        e = rng.standard_normal(n - 1) * rng.choice([1e-8, 1.0, 10.0])
+        mu = 2.0 * rng.standard_normal(r)
+        want = [np.count_nonzero(eigh_tridiagonal(d[i], e, eigvals_only=True) < mu[i])
+                for i in range(r)]
+        assert _sturm_counts(d, e, mu).tolist() == want
+    # a zero pivot is taken as negative, and a NaN counts
+    assert _sturm_counts(np.zeros((1, 2)), np.ones(1), np.zeros(1)).tolist() == [1]
+    assert _sturm_counts(np.array([[np.nan, 1.0]]), np.ones(1), np.zeros(1)).tolist() == [2]
+
+
+def test_raised_hint_is_a_solver_error_before_factoring(harmonic2000, monkeypatch):
+    calls = []
+    monkeypatch.setattr(exact, "splu", lambda *args, **kwargs: calls.append(args))
+    lam0 = harmonic2000.field.energies[0].copy()
+    lam0[40] += 1e-3
+    with pytest.raises(SolverError, match="slice 40 has 1 eigenvalue"):
+        solve_exact(harmonic2000.hamiltonian, 1, lam0=lam0)
+    assert calls == []
+
+
+def test_scan_hint_reproduces_the_oracle_shift(harmonic2000, soft_coulomb_setup,
+                                               sweep_hamiltonians):
+    # the scan's lambda_0 equals the oracle's own bit for bit on these grids, so the solve does
+    soft_h = assemble_full_hamiltonian(soft_coulomb_setup, build_grid(-1.6, 1.6, 96),
+                                       build_grid(-10.0, 10.0, 192))
+    for h, spec, k in [(soft_h, soft_coulomb_setup, 2), (sweep_hamiltonians[0], _harmonic(), 1),
+                       (sweep_hamiltonians[-1], _harmonic(), 1)]:
+        lam0 = scan_pes(spec, h.grid1, h.grid2, 1).energies[0]
+        own, hinted = solve_exact(h, k), solve_exact(h, k, lam0=lam0)
+        assert own.energies.tobytes() == hinted.energies.tobytes()
+        assert own.states.tobytes() == hinted.states.tobytes()
+    # on harmonic_m2000 the two lambda_0 differ in the last digits
+    own = solve_exact(harmonic2000.hamiltonian, 3)
+    assert np.allclose(harmonic2000.exact_energies, own.energies, rtol=1e-13, atol=0.0)
+
+
+def test_pipeline_with_a_field_solves_the_light_problem_once(monkeypatch):
+    # the scan's lambda_0 feeds the oracle's shift: exact makes one tridiagonal solve, on grid1
+    spec = _harmonic(M=50.0)
+    g1, g2 = build_grid(-2.0, 2.0, 32), build_grid(-6.0, 6.0, 32)
+    field = scan_pes(spec, g1, g2, 2)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "eigh_tridiagonal", counted)
+    run_pipeline(spec, g1, g2, 2, field=field)
+    assert calls == [g1.n]

@@ -31,14 +31,12 @@ from pathlib import Path
 from . import diagnostics
 from .bo import adiabatic_residual, assemble_product_state, solve_nuclear
 from .clamped import scan_pes
+from .diagnostics import SCHEMA_VERSION
 from .exact import DEFAULT_SEED, SolverError, assemble_full_hamiltonian, rayleigh_quotient, solve_exact
 from .grid import Grid1D, build_grid
 from .model import ModelSpec, potential_from_dict
 from .projection import build_projector, solve_effective
 from .serialize import NonFiniteError, write_csv, write_json
-
-COMMANDS = ("pes", "bo", "exact", "project", "compare", "scaling")
-SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
@@ -278,7 +276,7 @@ def run_scaling(cfg: RunConfig, out: Path) -> list:
     return ["scaling.csv", "report.json"]
 
 
-_RUNNERS = {"pes": run_pes, "bo": run_bo, "exact": run_exact,
+COMMANDS = {"pes": run_pes, "bo": run_bo, "exact": run_exact,
             "project": run_project, "compare": run_compare, "scaling": run_scaling}
 
 USAGE = f"usage: bolab {{{','.join(COMMANDS)}}} --config CFG [--out DIR] [--threads N] [--seed S]"
@@ -320,7 +318,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        files = _RUNNERS[command](cfg, out)
+        files = COMMANDS[command](cfg, out)
     except (SolverError, RuntimeError, NonFiniteError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

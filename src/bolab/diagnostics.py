@@ -38,6 +38,7 @@ UNCERTAINTY_SLACK = 1e-9
 NORMALIZATION_TOL = 1e-8
 REGION_SIGMA = 2.0
 SLICE_TIE_RTOL = 1e-12
+SCHEMA_VERSION = 1          # of the run config and of every JSON artifact
 
 
 @dataclass
@@ -182,13 +183,13 @@ def slice_uncertainty_products(field: ElectronicField) -> np.ndarray:
 # --------------------------------------------------------------------------
 # heavy-region and kinetic-scale estimation
 
-def nuclear_region(theta: GridFunction, widths: float = REGION_SIGMA) -> tuple[float, float]:
-    """mean +/- widths * sigma of the heavy position density."""
+def nuclear_region(theta: GridFunction) -> tuple[float, float]:
+    """mean +/- REGION_SIGMA * sigma of the heavy position density."""
     x = theta.grid.points
     density = theta.grid.h * np.abs(theta.values) ** 2
     mean = float(np.sum(x * density))
     sigma = float(np.sqrt(max(np.sum(x * x * density) - mean * mean, 0.0)))
-    return mean - widths * sigma, mean + widths * sigma
+    return mean - REGION_SIGMA * sigma, mean + REGION_SIGMA * sigma
 
 
 def kinetic_expectation(theta: GridFunction, mass: float) -> float:
@@ -240,7 +241,7 @@ class ComparisonReport:
     error_kappa_slope: float | None = None
 
     def to_dict(self) -> dict:
-        return {"schema_version": 1, **asdict(self)}
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
 @dataclass
@@ -252,8 +253,6 @@ class SingleRunResult:
     nuclear: dict
     product_states: list
     exact_energies: np.ndarray
-    rayleigh: float
-    heavy: HeavyReport
     uncertainty: list
     residuals: dict
     row: ScalingRow
@@ -323,8 +322,8 @@ def run_pipeline(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
                      min_uncertainty_product=min(u.product for u in uncertainty),
                      residual_max=res_max, residual_mean=res_mean)
     return SingleRunResult(field=field, hamiltonian=h, nuclear=nuclear, product_states=states,
-                           exact_energies=exact.energies, rayleigh=rq, heavy=heavy,
-                           uncertainty=uncertainty, residuals=residuals, row=row)
+                           exact_energies=exact.energies, uncertainty=uncertainty,
+                           residuals=residuals, row=row)
 
 
 def _heff_summary(result: SingleRunResult, ranks) -> dict:
@@ -382,7 +381,7 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
         slope = float(np.polyfit(logs_k, logs_e, 1)[0])
     last = results[-1]
     return ComparisonReport(model=_model_dict(spec), mass_ratios=ratios, rows=rows,
-                            heavy=last.heavy, uncertainty=last.uncertainty,
+                            heavy=last.row.heavy, uncertainty=last.uncertainty,
                             residuals=last.residuals, heff=_heff_summary(last, [N]),
                             error_kappa_slope=slope)
 
@@ -402,16 +401,14 @@ def compare_report(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, N: int
     nuclear = dict(result.nuclear)
     for a in range(1, A):
         nuclear[a] = solve_nuclear(field, spec, a, 1)
-    selection = [(a, 0) for a in range(A)]
-    mat = t1_coupling_matrix(field, nuclear, selection, spec.M)
+    mat = t1_coupling_matrix(field, nuclear, [(a, 0) for a in range(A)], spec.M)
     off = mat - np.diag(np.diag(mat))
-    offdiag_max = float(np.max(np.abs(off))) if len(selection) > 1 else 0.0
-    gaps = np.diff(field.energies, axis=0)
-    min_gap = float(np.min(gaps)) if A > 1 else float("inf")
+    offdiag_max = float(np.max(np.abs(off)))
+    min_gap = float(np.min(np.diff(field.energies, axis=0)))
     t1_summary = {"offdiag_max": offdiag_max, "min_adjacent_gap": min_gap,
-                  "suppression_ratio": offdiag_max / min_gap if np.isfinite(min_gap) and min_gap > 0 else None}
+                  "suppression_ratio": offdiag_max / min_gap if min_gap > 0 else None}
 
     return ComparisonReport(model=_model_dict(spec), mass_ratios=[spec.M / spec.m],
-                            rows=[result.row], heavy=result.heavy,
+                            rows=[result.row], heavy=result.row.heavy,
                             uncertainty=result.uncertainty, residuals=result.residuals,
                             t1_coupling=t1_summary, heff=_heff_summary(result, range(1, N + 1)))

@@ -8,11 +8,11 @@ W acts pointwise); the eigensolver works on a sparse assembly of the same
 pieces, built from its five diagonals, by shift-invert Lanczos at every size.
 The shift sits below the Born-Oppenheimer lower bound, the ground energy of
 T1 + diag lambda_0. lambda_0 comes from H's own pieces (one tridiagonal
-solve per heavy point), or from a caller's scan as a hint that a Sturm count
-certifies before it is used, so the shift is verified rather than trusted.
-H - sigma I is then positive definite and factored once, unpivoted
-(``projection`` shares this route). Grid sums run in a fixed order, whatever
-the BLAS thread count.
+solve per heavy point), or from a caller's scan as a hint that a banded
+Cholesky of the slices certifies before it is used, so the shift is verified
+rather than trusted. H - sigma I is then positive definite and factored once,
+unpivoted (``projection`` shares this route). Grid sums run in a fixed order,
+whatever the BLAS thread count.
 """
 
 import math
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .grid import Grid1D, kinetic_diagonals, second_difference, stencil_diagonals
@@ -118,42 +119,35 @@ def _bo_lower_bound(h: FullHamiltonian, lam0=None) -> float:
                                   select="i", select_range=(0, 0))[0])
 
 
-def _sturm_counts(d: np.ndarray, e: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues below ``mu[i]`` of each symmetric tridiagonal (``d[i]``, ``e``).
-
-    ``d`` is (r, n), ``e`` (n - 1,) and ``mu`` (r,). The count is that of the negative
-    pivots of the LDL^T of T - mu I (Sylvester's inertia), run over the n rows and
-    numpy-wide over the r matrices. In floating point it is the exact count for a
-    matrix a few ulps from T (Kahan 1966). A pivot within pivmin of zero is taken
-    as -pivmin, as LAPACK's bisection does, and a NaN pivot counts too.
-    """
-    e2 = e * e
-    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
-    counts = np.zeros(len(mu), dtype=int)
-    q = np.ones(len(mu))
-    for row, off in zip(np.ascontiguousarray((d - mu[:, None]).T), np.append(0.0, e2)):
-        q = row - off / q
-        q[np.abs(q) <= pivmin] = -pivmin
-        counts += ~(q > 0)
-    return counts
+def _certify_above(d: np.ndarray, e: np.ndarray, mu: np.ndarray) -> None:
+    """SolverError naming the first slice i whose symmetric tridiagonal (``d[i]``, ``e``) has
+    an eigenvalue at or below ``mu[i]``; ``d`` is (r, n). One banded Cholesky of the r matrices
+    less mu[i] I, stacked uncoupled, exists only if each is positive definite, and in floating
+    point is exact for a matrix a few ulps away (Higham 2002, section 10.1). LAPACK does not
+    stop at a NaN pivot, so a factor that is not finite fails too."""
+    r, n = d.shape
+    chol, info = dpbtrf(np.stack([(d - mu[:, None]).ravel(), np.tile(np.append(e, 0.0), r)]),
+                        lower=1)
+    if info == 0 and np.isfinite(chol[0]).all():
+        return
+    i = (info - 1 if info > 0 else np.flatnonzero(~np.isfinite(chol[0]))[0]) // n
+    raise SolverError(f"lambda_0 hint is not a lower bound: slice {i} is not positive definite "
+                      f"when shifted down by {float(mu[i])!r}")
 
 
 def _certified_bo_bound(h: FullHamiltonian, lam0) -> float:
-    """``_bo_lower_bound(h, lam0)`` for a hint ``lam0`` of the slice ground energies,
-    certified: no slice T2 + W[i] may have an eigenvalue below lam0[i] - delta,
-    delta = _SHIFT_OFFSET max(1, |E_BO|) / 2, or this is a SolverError.
-
-    The true lambda_0 then lies at or above lam0 - delta, so the true BO bound lies at
-    or above E_BO - delta, above the shift E_BO - 2 delta that ``_lowest_above`` takes.
+    """``_bo_lower_bound(h, lam0)`` for a hint ``lam0`` (n1 finite numbers, else a ValueError)
+    of the slice ground energies, certified: no slice T2 + W[i] may have an eigenvalue at or
+    below lam0[i] - delta, delta = _SHIFT_OFFSET max(1, |E_BO|) / 2, or this is a SolverError.
+    The true BO bound then lies above E_BO - delta, above the shift E_BO - 2 delta.
     """
+    lam0 = np.asarray(lam0, dtype=float)
+    if lam0.shape != (h.grid1.n,) or not np.isfinite(lam0).all():
+        raise ValueError(f"lam0 must be {h.grid1.n} finite numbers, one per heavy point")
     e_bo = _bo_lower_bound(h, lam0)
     delta = 0.5 * _SHIFT_OFFSET * max(1.0, abs(e_bo))
     d2, e2 = kinetic_diagonals(h.grid2, h.mass2)
-    below = _sturm_counts(d2 + h.potential_grid, e2, lam0 - delta)
-    if below.any():
-        i = int(np.flatnonzero(below)[0])
-        raise SolverError(f"lambda_0 hint is not a lower bound: slice {i} has {below[i]} "
-                          f"eigenvalue(s) below {lam0[i] - delta!r}")
+    _certify_above(d2 + h.potential_grid, e2, lam0 - delta)
     return e_bo
 
 
@@ -195,11 +189,12 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
 
     ``_lowest_above`` with the Born-Oppenheimer lower bound. ``lam0``, the slice ground
     energies lambda_0(x1_i) from a scan of the same model and grids, saves the n1 light
-    solves of ``_bo_lower_bound(h)``; it is a hint, certified by a Sturm count before
-    anything is factored (``_certified_bo_bound``), and one that sits above a slice's
-    ground energy by more than half the shift offset is a SolverError, never a wrong
-    shift. H - sigma I is then positive definite, so its unpivoted symmetric-mode
-    factorization (an LDL^T, built once) is ARPACK's OPinv.
+    solves of ``_bo_lower_bound(h)``; it is a hint, certified by a banded Cholesky of the
+    slices before anything is factored (``_certified_bo_bound``). A hint that is not n1
+    finite numbers is a ValueError, and one that sits above a slice's ground energy by
+    more than half the shift offset is a SolverError, never a wrong shift. H - sigma I is
+    then positive definite, so its unpivoted symmetric-mode factorization (an LDL^T, built
+    once) is ARPACK's OPinv.
     Most supernodes of these grid factors are 1-4 columns wide, so 5-column panels
     factor them in 13-23% less time than SuperLU's default 20, with the same fill.
     Residuals are verified against ``|H v - E v| <= 1e-9 |E|`` and reported.

@@ -73,12 +73,6 @@ class GridFunction:
     def norm(self) -> float:
         return float(np.sqrt(self.grid.h * np.sum(np.abs(self.values) ** 2)))
 
-    def normalized(self) -> "GridFunction":
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero function")
-        return GridFunction(self.grid, self.values / nrm)
-
 
 def second_difference(a: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Dirichlet 3-point d^2/dx^2 applied along axis 0 (zero beyond both walls).

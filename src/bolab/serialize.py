@@ -17,16 +17,16 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """JSON text with deterministic float formatting and insertion key order."""
+def dumps(obj) -> str:
+    """JSON text with deterministic float formatting, insertion key order, two-space indent."""
     lines: list[str] = []
-    _write(obj, lines, 0, indent)
+    _write(obj, lines, 0)
     return "".join(lines) + "\n"
 
 
-def _write(obj, out: list, level: int, indent: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _write(obj, out: list, level: int) -> None:
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -44,7 +44,7 @@ def _write(obj, out: list, level: int, indent: int) -> None:
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             out.append(f'{pad}"{key}": ')
-            _write(value, out, level + 1, indent)
+            _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -55,13 +55,13 @@ def _write(obj, out: list, level: int, indent: int) -> None:
         out.append("[\n")
         for i, value in enumerate(seq):
             out.append(pad)
-            _write(value, out, level + 1, indent)
+            _write(value, out, level + 1)
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(close_pad + "]")
     else:
         # numpy scalars and similar
         if hasattr(obj, "item"):
-            _write(obj.item(), out, level, indent)
+            _write(obj.item(), out, level)
         else:
             raise TypeError(f"cannot serialize {type(obj)!r}")
 

@@ -157,7 +157,7 @@ def test_criterion_7_separable_exactness(separable_run, separable_setup):
 
 def test_criterion_8_heavy_regime(harmonic2000, harmonic2000_setup):
     spec, _, _ = harmonic2000_setup
-    heavy = harmonic2000.heavy
+    heavy = harmonic2000.row.heavy
     assert heavy.heavy_ok
     prediction = np.sqrt(spec.M * 1.0 / (spec.m * 1.0))  # sqrt(M k2 / (m k1))
     assert abs(heavy.ratio - prediction) / prediction <= 0.05

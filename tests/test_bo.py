@@ -114,7 +114,7 @@ def test_product_state_grid_mismatch():
 def test_rayleigh_quotient_against_oracle(harmonic2000, harmonic2000_setup):
     spec, _, _ = harmonic2000_setup
     oracle = analytic_normal_modes(spec).ground_energy
-    assert abs(harmonic2000.rayleigh - oracle) / oracle < 5e-3
+    assert abs(harmonic2000.row.rayleigh_quotient - oracle) / oracle < 5e-3
 
 
 def test_rayleigh_ritz_bound(harmonic2000, harmonic2000_setup, separable_run, separable_setup):

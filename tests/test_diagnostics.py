@@ -51,7 +51,7 @@ def test_boosted_state_keeps_minimum_product():
     # e^{i p0 x} times a Gaussian: same spreads, nonzero mean momentum
     g = build_grid(-10.0, 10.0, 256)
     psi = np.exp(-g.points**2 / 2.0) * np.exp(1j * 0.7 * g.points)
-    f = GridFunction(g, psi).normalized()
+    f = GridFunction(g, psi / np.sqrt(g.h * np.sum(np.abs(psi) ** 2)))
     res = uncertainty_product(f)
     assert res.product == pytest.approx(0.5, abs=2e-3)
     assert res.product >= 0.5 - UNCERTAINTY_SLACK
@@ -71,7 +71,8 @@ def test_stencil_route_agrees_on_smooth_states():
     diffs = {}
     for n in (512, 2048):
         g = build_grid(-8.0, 8.0, n)
-        f = GridFunction(g, np.exp(-g.points**2 / 2.0)).normalized()
+        psi = np.exp(-g.points**2 / 2.0)
+        f = GridFunction(g, psi / np.sqrt(g.h * np.sum(psi**2)))
         a = uncertainty_product(f).product
         b = uncertainty_product_stencil(f).product
         diffs[n] = abs(a - b)

@@ -11,8 +11,8 @@ from scipy.sparse.linalg import eigsh
 from bolab import exact
 from bolab.clamped import scan_pes
 from bolab.diagnostics import run_pipeline
-from bolab.exact import (_SHIFT_OFFSET, DEFAULT_SEED, SolverError, _bo_lower_bound, _ncv,
-                         _sturm_counts, assemble_full_hamiltonian, product_inner,
+from bolab.exact import (_SHIFT_OFFSET, DEFAULT_SEED, SolverError, _bo_lower_bound,
+                         _certify_above, _ncv, assemble_full_hamiltonian, product_inner,
                          rayleigh_quotient, solve_exact)
 from bolab.grid import build_grid, stencil_diagonals
 from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
@@ -296,19 +296,26 @@ def test_sparse_assembly_is_the_kron_sum(spec, n1, n2):
     assert hs.data.tobytes() == ref.data.tobytes()
 
 
-def test_sturm_counts_match_eigh_tridiagonal():
+def test_certificate_passes_exactly_when_every_slice_lies_above_mu():
     rng = np.random.default_rng(11)
     for _ in range(100):
         r, n = rng.integers(1, 6), rng.integers(1, 40)
         d = rng.standard_normal((r, n))
         e = rng.standard_normal(n - 1) * rng.choice([1e-8, 1.0, 10.0])
         mu = 2.0 * rng.standard_normal(r)
-        want = [np.count_nonzero(eigh_tridiagonal(d[i], e, eigvals_only=True) < mu[i])
-                for i in range(r)]
-        assert _sturm_counts(d, e, mu).tolist() == want
-    # a zero pivot is taken as negative, and a NaN counts
-    assert _sturm_counts(np.zeros((1, 2)), np.ones(1), np.zeros(1)).tolist() == [1]
-    assert _sturm_counts(np.array([[np.nan, 1.0]]), np.ones(1), np.zeros(1)).tolist() == [2]
+        failing = [i for i in range(r)
+                   if eigh_tridiagonal(d[i], e, eigvals_only=True)[0] <= mu[i]]
+        if failing:
+            with pytest.raises(SolverError, match=f"slice {failing[0]} is not positive definite"):
+                _certify_above(d, e, mu)
+        else:
+            _certify_above(d, e, mu)
+    # a zero pivot fails, and so does a NaN, which LAPACK carries through without stopping
+    with pytest.raises(SolverError, match="slice 0 "):
+        _certify_above(np.zeros((1, 2)), np.ones(1), np.zeros(1))
+    with pytest.raises(SolverError, match="slice 1 "):
+        _certify_above(np.array([[3.0, 3.0], [np.nan, 3.0], [3.0, 3.0]]), np.ones(1),
+                       np.zeros(3))
 
 
 def test_raised_hint_is_a_solver_error_before_factoring(harmonic2000, monkeypatch):
@@ -316,9 +323,18 @@ def test_raised_hint_is_a_solver_error_before_factoring(harmonic2000, monkeypatc
     monkeypatch.setattr(exact, "splu", lambda *args, **kwargs: calls.append(args))
     lam0 = harmonic2000.field.energies[0].copy()
     lam0[40] += 1e-3
-    with pytest.raises(SolverError, match="slice 40 has 1 eigenvalue"):
+    with pytest.raises(SolverError, match="slice 40 is not positive definite"):
         solve_exact(harmonic2000.hamiltonian, 1, lam0=lam0)
     assert calls == []
+
+
+@pytest.mark.parametrize("bad", ["scalar", "short", "long", "row", "nan"])
+def test_malformed_hint_is_a_value_error_naming_lam0(harmonic2000, bad):
+    lam0 = harmonic2000.field.energies[0]
+    hint = {"scalar": float(lam0[0]), "short": lam0[:-1], "long": np.append(lam0, lam0[-1]),
+            "row": lam0[None, :], "nan": np.where(np.arange(lam0.size) == 40, np.nan, lam0)}[bad]
+    with pytest.raises(ValueError, match="lam0 must be 128 finite numbers"):
+        solve_exact(harmonic2000.hamiltonian, 1, lam0=hint)
 
 
 def test_scan_hint_reproduces_the_oracle_shift(harmonic2000, soft_coulomb_setup,

@@ -74,7 +74,8 @@ def test_linear_function_second_derivative_vanishes():
 
 def test_inner_product_normalization():
     g = build_grid(-4.0, 4.0, 64)
-    f = GridFunction(g, np.exp(-g.points**2)).normalized()
+    psi = np.exp(-g.points**2)
+    f = GridFunction(g, psi / np.sqrt(g.h * np.sum(psi**2)))
     assert g.h * np.vdot(f.values, f.values) == pytest.approx(1.0, abs=1e-12)
     assert f.norm() == pytest.approx(1.0, abs=1e-12)
 

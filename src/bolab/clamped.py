@@ -26,6 +26,8 @@ from .model import ModelSpec, evaluate_potential
 DEGENERACY_RTOL = 1e-10
 # Consecutive-slice overlap magnitude below this flags a possible crossing.
 CROSSING_OVERLAP = 0.5
+# The heavy regime holds where the minimum gap is at least this many kinetic scales.
+HEAVY_RATIO_THRESHOLD = 10.0
 
 
 @dataclass
@@ -159,13 +161,13 @@ def scan_pes(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, threads: int
 
 
 def heavy_gap_report(field: ElectronicField, region: tuple[float, float],
-                     t1_scale: float, threshold: float = 10.0) -> HeavyReport:
+                     t1_scale: float) -> HeavyReport:
     """Minimum |lambda_{a+1}(x1) - lambda_a(x1')| over all x1, x1' in the region.
 
     The gap is evaluated across independent slice pairs, not just at equal
     x1, so a surface dipping toward its neighbour anywhere in the region
-    shrinks it. ``heavy_ok`` holds when the gap exceeds ``threshold`` times
-    the supplied kinetic-energy scale.
+    shrinks it. ``heavy_ok`` holds when the gap is at least
+    ``HEAVY_RATIO_THRESHOLD`` times the supplied kinetic-energy scale.
     """
     alpha, beta = float(region[0]), float(region[1])
     if not (alpha < beta):
@@ -185,5 +187,5 @@ def heavy_gap_report(field: ElectronicField, region: tuple[float, float],
         upper = field.energies[a + 1, mask]
         min_gap = min(min_gap, float(np.min(np.abs(upper[:, None] - lower[None, :]))))
     ratio = min_gap / t1_scale
-    return HeavyReport(region=(alpha, beta), t1_scale=float(t1_scale), min_gap=min_gap,
-                       ratio=ratio, heavy_ok=bool(ratio >= threshold), threshold=float(threshold))
+    return HeavyReport(region=(alpha, beta), t1_scale=float(t1_scale), min_gap=min_gap, ratio=ratio,
+                       heavy_ok=bool(ratio >= HEAVY_RATIO_THRESHOLD), threshold=HEAVY_RATIO_THRESHOLD)

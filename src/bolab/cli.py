@@ -14,11 +14,15 @@ Commands and their artifacts:
 --threads (or BO_LAB_THREADS, or "threads" in the config) sets the number of
 sweep workers of ``scaling``; other commands ignore it.
 
+A config's "heavy" block may only restate the fixed heavy-regime criterion
+(region and t1_scale "auto", ratio_threshold 10); other values exit 2.
+
 Exit codes: 0 success, 1 usage, 2 config error (bad or non-finite config
-value, field combination), 3 numerical failure (no convergence, non-finite
-result). Flags override BO_LAB_* environment variables, which override
-config-file values; all three go through the same checks (threads >= 1,
-seed >= 0). Identical configs give byte-identical files for any --threads.
+value, field combination, unwritable output), 3 numerical failure (no
+convergence, non-finite result). Flags override BO_LAB_* environment
+variables, which override config-file values; all three go through the same
+checks (threads >= 1, seed >= 0). Identical configs give byte-identical
+files for any --threads.
 """
 
 import argparse
@@ -30,7 +34,7 @@ from pathlib import Path
 
 from . import diagnostics
 from .bo import adiabatic_residual, assemble_product_state, solve_nuclear
-from .clamped import scan_pes
+from .clamped import HEAVY_RATIO_THRESHOLD, scan_pes
 from .diagnostics import SCHEMA_VERSION
 from .exact import DEFAULT_SEED, SolverError, assemble_full_hamiltonian, rayleigh_quotient, solve_exact
 from .grid import Grid1D, build_grid
@@ -52,9 +56,6 @@ class RunConfig:
     projector_rank: int
     nuclear_levels: int
     exact_k: int
-    heavy_region: tuple | None      # None: derived from the nuclear ground state
-    heavy_t1_scale: float | None    # None: the first nuclear level spacing
-    heavy_threshold: float
     sweep: list | None
     output_dir: Path
     seed: int
@@ -123,17 +124,14 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     g1 = _grid_from(_require(data, "grid1", "config"), "grid1")
     g2 = _grid_from(_require(data, "grid2", "config"), "grid2")
 
+    # the heavy-regime criterion is fixed; a "heavy" block may only restate it
     heavy = _object(data.get("heavy", {}), "heavy")
-    region = t1 = None
-    if heavy.get("region", "auto") != "auto":
-        region = heavy["region"]
-        if (not isinstance(region, (list, tuple))) or len(region) != 2:
-            raise ConfigError("heavy.region must be \"auto\" or a [alpha, beta] pair")
-        region = tuple(_convert(float, r, "heavy.region") for r in region)
-    if heavy.get("t1_scale", "auto") != "auto":
-        t1 = _convert(float, heavy["t1_scale"], "heavy.t1_scale")
-        if t1 <= 0:
-            raise ConfigError("heavy.t1_scale must be positive")
+    for key, fixed in (("region", "auto"), ("t1_scale", "auto"), ("ratio_threshold", HEAVY_RATIO_THRESHOLD)):
+        value = heavy.get(key, fixed)
+        if isinstance(fixed, float):
+            value = _convert(float, value, f"heavy.{key}")
+        if value != fixed:
+            raise ConfigError(f"heavy.{key} is fixed at {json.dumps(fixed)}, not {value!r}")
 
     sweep = data.get("sweep")
     if sweep is not None:
@@ -155,8 +153,6 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         projector_rank=integer("projector_rank", 1),
         nuclear_levels=integer("nuclear_levels", 2),
         exact_k=integer("exact_k", 1),
-        heavy_region=region, heavy_t1_scale=t1,
-        heavy_threshold=_convert(float, heavy.get("ratio_threshold", 10.0), "heavy.ratio_threshold"),
         sweep=sweep,
         output_dir=_convert(Path, data.get("output_dir", "out"), "output_dir"),
         seed=integer("seed", DEFAULT_SEED, least=0),
@@ -254,8 +250,7 @@ def run_project(cfg: RunConfig, out: Path) -> list:
 def run_compare(cfg: RunConfig, out: Path) -> list:
     report = diagnostics.compare_report(
         cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces, cfg.projector_rank,
-        nuclear_levels=cfg.nuclear_levels, region=cfg.heavy_region, t1_scale=cfg.heavy_t1_scale,
-        threshold=cfg.heavy_threshold, seed=cfg.seed, exact_k=cfg.exact_k)
+        nuclear_levels=cfg.nuclear_levels, seed=cfg.seed, exact_k=cfg.exact_k)
     write_json(out / "report.json", report.to_dict())
     return ["report.json"]
 
@@ -265,8 +260,8 @@ def run_scaling(cfg: RunConfig, out: Path) -> list:
         raise ConfigError("scaling requires a non-empty 'sweep' list of mass ratios")
     report = diagnostics.kappa_scaling_study(
         cfg.model, cfg.sweep, cfg.grid1, cfg.grid2, cfg.n_surfaces,
-        N=cfg.projector_rank, nuclear_levels=cfg.nuclear_levels,
-        threshold=cfg.heavy_threshold, threads=cfg.threads, seed=cfg.seed)
+        N=cfg.projector_rank, nuclear_levels=cfg.nuclear_levels, threads=cfg.threads,
+        seed=cfg.seed)
     header = ["ratio", "kappa", "bo_energy", "exact_energy", "relative_error",
               "heavy_ratio", "min_uncertainty_product"]
     rows = [[r.mass_ratio, r.kappa, r.bo_energy, r.exact_energy, r.relative_error,
@@ -322,8 +317,8 @@ def main(argv=None) -> int:
     except (SolverError, RuntimeError, NonFiniteError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # ConfigError and precondition violations from bad field combinations
+    except (ValueError, OSError) as exc:
+        # ConfigError, precondition violations from bad field combinations, unwritable artifacts
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for name in files:

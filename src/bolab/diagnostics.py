@@ -259,14 +259,13 @@ class SingleRunResult:
 
 
 def run_pipeline(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
-                 nuclear_levels: int = 2, region=None, t1_scale=None,
-                 threshold: float = 10.0, seed: int = DEFAULT_SEED,
+                 nuclear_levels: int = 2, seed: int = DEFAULT_SEED,
                  exact_k: int = 1, field: ElectronicField | None = None) -> SingleRunResult:
     """Scan, solve, assemble, and compare one model against the exact oracle.
 
-    ``region`` and ``t1_scale`` default to values derived from the ground
-    nuclear state: mean +/- 2 sigma of its density, and the first nuclear
-    level spacing. All uncertainty products (theta levels, reduced heavy
+    The heavy report spans ``nuclear_region`` of the nuclear ground state and
+    takes its first level spacing (its kinetic expectation at one level) as
+    the kinetic scale. All uncertainty products (theta levels, reduced heavy
     states of every assembled level, every scanned slice state) are checked.
     ``field`` defaults to ``scan_pes(spec, grid1, grid2, A)``. The scan holds
     no M, so a mass sweep passes one field to every row; a field from other
@@ -287,11 +286,8 @@ def run_pipeline(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
     rel_err = abs(rq - exact.energies[0]) / abs(exact.energies[0])
 
     t1_cands = t1_scale_candidates(sol0, spec.M)
-    if t1_scale is None:
-        t1_scale = t1_cands.get("level_spacing", t1_cands["kinetic_expectation"])
-    if region is None:
-        region = nuclear_region(sol0.theta(0))
-    heavy = heavy_gap_report(field, region, t1_scale, threshold)
+    heavy = heavy_gap_report(field, nuclear_region(sol0.theta(0)),
+                             t1_cands.get("level_spacing", t1_cands["kinetic_expectation"]))
 
     uncertainty = []
     for n in range(nuclear_levels):
@@ -339,16 +335,15 @@ def _model_dict(spec: ModelSpec) -> dict:
 
 
 def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2: Grid1D,
-                        A: int, N: int = 1, nuclear_levels: int = 2,
-                        threshold: float = 10.0, threads: int = 1,
+                        A: int, N: int = 1, nuclear_levels: int = 2, threads: int = 1,
                         seed: int = DEFAULT_SEED) -> ComparisonReport:
     """Run the full pipeline at each mass ratio and collect the error trend.
 
     ``spec`` supplies the light mass and potential; the heavy mass is set to
     ratio * m per row. The ratios must be strictly ascending (a repeat leaves
-    the slope undefined). The scan holds no M, so it runs once, before the
-    rows, and its failure names no mass ratio. The per-row heavy region and
-    kinetic scale are re-derived from each row's nuclear ground state. The
+    the slope undefined); a ratio that gives no valid row model is a
+    ValueError naming it, before the scan. The scan holds no M, so it runs
+    once, before the rows, and its failure names no mass ratio. The
     compressed-spectrum summary at rank N is attached for the final (largest)
     ratio. Rows run on ``threads`` workers and are collected in ratio order,
     so the report is identical for any worker count.
@@ -359,13 +354,19 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
     if any(b <= a for a, b in zip(ratios, ratios[1:])):
         raise ValueError("mass_ratios must be strictly ascending")
 
+    specs = []
+    for ratio in ratios:
+        try:
+            specs.append(spec.with_mass_ratio(ratio))
+        except ValueError as exc:
+            raise ValueError(f"mass ratio {ratio}: {exc}") from exc
+
     field = scan_pes(spec, grid1, grid2, A)
     results = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(ratio, pool.submit(run_pipeline, spec.with_mass_ratio(ratio), grid1, grid2, A,
-                                       nuclear_levels=nuclear_levels, threshold=threshold,
-                                       seed=seed, field=field))
-                   for ratio in ratios]
+        futures = [(ratio, pool.submit(run_pipeline, row_spec, grid1, grid2, A,
+                                       nuclear_levels=nuclear_levels, seed=seed, field=field))
+                   for ratio, row_spec in zip(ratios, specs)]
         for ratio, future in futures:
             try:
                 results.append(future.result())
@@ -387,13 +388,11 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
 
 
 def compare_report(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, N: int,
-                   nuclear_levels: int = 2, region=None, t1_scale=None,
-                   threshold: float = 10.0, seed: int = DEFAULT_SEED,
+                   nuclear_levels: int = 2, seed: int = DEFAULT_SEED,
                    exact_k: int = 1) -> ComparisonReport:
     """Single-model consolidated report: oracle comparison, projection drift,
     heavy-kinetic coupling summary, residuals, uncertainty suite."""
     result = run_pipeline(spec, grid1, grid2, A, nuclear_levels=nuclear_levels,
-                          region=region, t1_scale=t1_scale, threshold=threshold,
                           seed=seed, exact_k=exact_k)
     field = result.field
 

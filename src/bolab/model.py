@@ -29,10 +29,10 @@ class HarmonicCoupling:
     family = HARMONIC_COUPLING
 
     def __post_init__(self):
-        if self.k1 < 0:
-            raise ValueError("harmonic_coupling requires k1 >= 0")
-        if self.k2 <= 0:
-            raise ValueError("harmonic_coupling requires k2 > 0")
+        if not 0 <= self.k1 < np.inf:
+            raise ValueError("harmonic_coupling requires finite k1 >= 0")
+        if not 0 < self.k2 < np.inf:
+            raise ValueError("harmonic_coupling requires finite k2 > 0")
 
     def evaluate(self, x1, x2):
         return 0.5 * self.k1 * np.asarray(x1) ** 2 + 0.5 * self.k2 * (np.asarray(x2) - np.asarray(x1)) ** 2
@@ -47,10 +47,10 @@ class SoftCoulomb:
     family = SOFT_COULOMB
 
     def __post_init__(self):
-        if self.z <= 0 or self.s <= 0:
-            raise ValueError("soft_coulomb requires z > 0 and s > 0")
-        if self.k1 < 0:
-            raise ValueError("soft_coulomb requires k1 >= 0")
+        if not (0 < self.z < np.inf and 0 < self.s < np.inf):
+            raise ValueError("soft_coulomb requires finite z > 0 and s > 0")
+        if not 0 <= self.k1 < np.inf:
+            raise ValueError("soft_coulomb requires finite k1 >= 0")
 
     def evaluate(self, x1, x2):
         d = np.asarray(x2) - np.asarray(x1)
@@ -67,8 +67,8 @@ class SeparableHarmonic:
     family = SEPARABLE_HARMONIC
 
     def __post_init__(self):
-        if self.k1 < 0 or self.k2 < 0:
-            raise ValueError("separable_harmonic requires k1, k2 >= 0")
+        if not (0 <= self.k1 < np.inf and 0 <= self.k2 < np.inf):
+            raise ValueError("separable_harmonic requires finite k1, k2 >= 0")
 
     def evaluate(self, x1, x2):
         return 0.5 * self.k1 * np.asarray(x1) ** 2 + 0.5 * self.k2 * np.asarray(x2) ** 2
@@ -92,8 +92,8 @@ class ModelSpec:
     potential: Potential
 
     def __post_init__(self):
-        if self.M <= 0 or self.m <= 0:
-            raise ValueError("masses must be positive")
+        if not (0 < self.M < np.inf and 0 < self.m < np.inf):
+            raise ValueError("masses must be finite and positive")
 
     def with_mass_ratio(self, ratio: float) -> "ModelSpec":
         """Same light mass and potential, heavy mass M = ratio * m."""

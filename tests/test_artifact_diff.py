@@ -1,0 +1,36 @@
+"""tools/artifact_diff.py: runs a command on two trees and reports what differs."""
+
+import importlib.util
+
+from tests.conftest import REPO
+
+_spec = importlib.util.spec_from_file_location("artifact_diff", REPO / "tools" / "artifact_diff.py")
+artifact_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(artifact_diff)
+
+
+def test_same_tree_twice_is_identical():
+    count, lines = artifact_diff.compare_trees(REPO, REPO, [("pes", "separable.json", ())])
+    assert lines == []
+    assert count == 4  # exit code, stdout, stderr and pes.csv
+
+
+def test_outputs_are_masked_and_differences_named():
+    outputs = artifact_diff.run_job(REPO, "pes", "separable.json")
+    assert outputs["exit"] == b"0"
+    assert outputs["stdout"] == b"<OUT>/pes.csv\n"
+    changed = {**outputs, "file:pes.csv": outputs["file:pes.csv"] + b"1,2,3\n"}
+    del changed["stderr"]
+    assert artifact_diff.diff_outputs("pes", outputs, changed) == [
+        "pes: file:pes.csv differs, length "
+        f"{len(outputs['file:pes.csv'])} -> {len(changed['file:pes.csv'])} bytes",
+        "pes: stderr only in old tree"]
+
+
+def test_default_jobs_cover_every_command_and_config():
+    jobs = artifact_diff.default_jobs(REPO / "configs")
+    configs = sorted(p.name for p in (REPO / "configs").glob("*.json"))
+    assert len(configs) == 5
+    assert len(jobs) == 7 * len(configs)
+    assert {job[0] for job in jobs} == {"pes", "bo", "exact", "project", "compare", "scaling"}
+    assert ("scaling", "scaling_harmonic.json", ("--threads", "2")) in jobs

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from operator import attrgetter
 
 import numpy as np
@@ -63,6 +64,78 @@ def test_compare_separable(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["rows"][0]["relative_error"] <= 1e-8
     assert all(u["bound_ok"] for u in report["uncertainty"])
+
+
+def test_unwritable_artifact_exits_2(tmp_path, capsys):
+    (tmp_path / "pes.csv").mkdir()
+    assert _run("pes", CONFIG_DIR / "harmonic_m2000.json", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "pes.csv" in err and "Traceback" not in err
+
+
+@pytest.fixture
+def counted_calls(monkeypatch):
+    """Names of the pipeline stages each command runs, one entry per call."""
+    from bolab import cli, diagnostics, exact, projection
+
+    calls = []
+
+    def count(module, name, label=None):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(label(kwargs) if label else name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (cli, diagnostics):
+        count(module, "scan_pes")
+        count(module, "assemble_full_hamiltonian")
+        count(module, "solve_exact",
+              lambda kwargs: "solve_exact(lam0)" if kwargs.get("lam0") is not None else "solve_exact")
+    count(exact, "splu")
+    count(projection, "cholesky_banded")
+    return calls
+
+
+@pytest.mark.parametrize("command, config, expected", [
+    ("pes", "harmonic_m2000", {"scan_pes": 1}),
+    ("bo", "harmonic_m2000", {"scan_pes": 1, "assemble_full_hamiltonian": 1}),
+    ("exact", "harmonic_m2000", {"assemble_full_hamiltonian": 1, "solve_exact": 1, "splu": 1}),
+    ("project", "harmonic_m2000", {"scan_pes": 1, "assemble_full_hamiltonian": 1,
+                                   "solve_exact(lam0)": 1, "splu": 1, "cholesky_banded": 1}),
+    ("compare", "harmonic_m2000", {"scan_pes": 1, "assemble_full_hamiltonian": 1,
+                                   "solve_exact(lam0)": 1, "splu": 1, "cholesky_banded": 3}),
+    ("scaling", "scaling_harmonic", {"scan_pes": 1, "assemble_full_hamiltonian": 4,
+                                     "solve_exact(lam0)": 4, "splu": 4, "cholesky_banded": 1}),
+])
+def test_stage_calls_per_command(tmp_path, counted_calls, command, config, expected):
+    # compare solves the compressed spectrum once per rank (N = 3); scaling scans once
+    # and solves each of its 4 rows with the scan's lambda_0, compressing only the last
+    assert _run(command, CONFIG_DIR / f"{config}.json", tmp_path) == 0
+    assert Counter(counted_calls) == expected
+
+
+@pytest.mark.parametrize("heavy", [{}, {"region": "auto", "t1_scale": "auto", "ratio_threshold": 10.0},
+                                   {"ratio_threshold": 10}], ids=["absent", "restated", "integer"])
+def test_heavy_block_restating_the_criterion_loads(tmp_path, heavy):
+    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
+    cfg["heavy"] = heavy
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    load_config(str(path))
+
+
+@pytest.mark.parametrize("key, value", [("region", [0, 1]), ("t1_scale", 0.5), ("ratio_threshold", 5)])
+def test_heavy_value_other_than_the_criterion_exits_2(tmp_path, capsys, key, value):
+    # the criterion is fixed; ignoring a value the user set would change their report
+    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
+    cfg["heavy"][key] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("compare", path, tmp_path) == 2
+    assert capsys.readouterr().err.startswith(f"config error: heavy.{key} is fixed at")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_unknown_command_exits_1(capsys):

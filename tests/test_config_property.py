@@ -30,8 +30,8 @@ FIELDS = list(_paths(BASE)) + [("sweep",), ("threads",)]
 INTEGER_FIELDS = {("grid1", "n"), ("grid2", "n"), ("n_surfaces",), ("projector_rank",),
                   ("nuclear_levels",), ("exact_k",), ("seed",), ("threads",)}
 
-# values at the edges of what the checks accept (also as short lists, as region and
-# sweep take them), drawn as often as everything else
+# values at the edges of what the checks accept (also as short lists, as sweep
+# takes them), drawn as often as everything else
 EDGES = st.sampled_from([math.nan, math.inf, -math.inf, "auto", "nan", "-inf", "1e400", -1, 0,
                          True, False, 1.5, 16.0, 16.7])
 JSON_VALUES = EDGES | st.lists(EDGES | st.floats(), min_size=1, max_size=2) | st.recursive(
@@ -57,11 +57,8 @@ def test_load_config_rejects_or_returns_finite(tmp_path_factory, field, value):
     except ConfigError:
         return
     assert not isinstance(value, bool)  # no field reads a JSON boolean as a number
-    floats = [cfg.model.M, cfg.model.m, *astuple(cfg.model.potential), cfg.heavy_threshold,
-              *(cfg.heavy_region or ()), *(cfg.sweep or ())]
+    floats = [cfg.model.M, cfg.model.m, *astuple(cfg.model.potential), *(cfg.sweep or ())]
     floats += [getattr(g, name) for g in (cfg.grid1, cfg.grid2) for name in ("x_min", "x_max", "h")]
-    if cfg.heavy_t1_scale is not None:
-        floats.append(cfg.heavy_t1_scale)
     assert all(math.isfinite(x) for x in floats)
     assert cfg.seed >= 0 and cfg.threads >= 1
     if field in INTEGER_FIELDS:

@@ -218,6 +218,22 @@ def test_empty_sweep_is_named_before_the_scan(monkeypatch):
         kappa_scaling_study(spec, [], g1, g2, A=2)
 
 
+@pytest.mark.parametrize("ratios, bad", [([10.0, float("nan")], "nan"), ([-1.0, 10.0], "-1.0"),
+                                         ([10.0, float("inf")], "inf")], ids=["nan", "negative", "inf"])
+def test_invalid_ratio_is_named_before_the_scan(monkeypatch, ratios, bad):
+    import bolab.diagnostics as diag
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan_pes called for an invalid sweep")
+
+    monkeypatch.setattr(diag, "scan_pes", no_scan)
+    spec = ModelSpec(M=10.0, m=1.0, potential=HarmonicCoupling(1.0, 1.0))
+    g1 = build_grid(-2.4, 2.4, 16)
+    g2 = build_grid(-8.5, 8.5, 16)
+    with pytest.raises(ValueError, match=rf"^mass ratio {bad}: masses must be finite and positive"):
+        kappa_scaling_study(spec, ratios, g1, g2, A=2)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_failure_names_offending_ratio(monkeypatch, threads):
     import bolab.diagnostics as diag

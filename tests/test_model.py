@@ -109,6 +109,25 @@ def test_invariant_validation():
         SeparableHarmonic(k1=-1.0, k2=1.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda bad: ModelSpec(M=bad, m=1.0, potential=HarmonicCoupling(1.0, 1.0)),
+    lambda bad: ModelSpec(M=1.0, m=bad, potential=HarmonicCoupling(1.0, 1.0)),
+    lambda bad: HarmonicCoupling(bad, 1.0),
+    lambda bad: HarmonicCoupling(1.0, bad),
+    lambda bad: SoftCoulomb(z=bad, s=1.0, k1=0.0),
+    lambda bad: SoftCoulomb(z=1.0, s=bad, k1=0.0),
+    lambda bad: SoftCoulomb(z=1.0, s=1.0, k1=bad),
+    lambda bad: SeparableHarmonic(k1=bad, k2=1.0),
+    lambda bad: SeparableHarmonic(k1=1.0, k2=bad),
+], ids=["M", "m", "harmonic_k1", "harmonic_k2", "soft_z", "soft_s", "soft_k1",
+        "separable_k1", "separable_k2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_model_values_are_rejected(build, bad):
+    # NaN passes every ordering check (nan < 0 is false), so finiteness is checked on its own
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
+
+
 def test_potential_dict_round_trip():
     pots = [HarmonicCoupling(1.0, 2.0), SoftCoulomb(1.0, 0.5, 0.3), SeparableHarmonic(0.0, 1.0)]
     for pot in pots:

@@ -1,0 +1,97 @@
+"""Compare the CLI outputs of two source trees byte for byte.
+
+    python tools/artifact_diff.py OLD_TREE NEW_TREE
+
+Runs ``pes``, ``bo``, ``exact``, ``project`` and ``compare`` on every bundled
+config (``configs/*.json`` of NEW_TREE), and ``scaling`` on each of them at
+``--threads 1`` and ``--threads 2``. Each tree runs its own ``src/`` and
+``configs/`` in a fresh interpreter with ``PYTHONPATH=<tree>/src`` and
+``OPENBLAS_NUM_THREADS=1``, no ``BO_LAB_*`` variables, and a fresh output
+directory. Every artifact file, the exit code, stderr, and stdout are
+compared; the output directory is masked in stdout and stderr. Prints each
+difference and a summary, and exits 1 if anything differs.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = ("pes", "bo", "exact", "project", "compare")
+OUT_MASK = b"<OUT>"
+
+
+def default_jobs(configs_dir: Path) -> list:
+    """(command, config file name, extra flags) for every command on every bundled config."""
+    names = sorted(p.name for p in configs_dir.glob("*.json"))
+    return ([(command, name, ()) for name in names for command in COMMANDS]
+            + [("scaling", name, ("--threads", str(t))) for name in names for t in (1, 2)])
+
+
+def run_job(tree: Path, command: str, config: str, extra=()) -> dict:
+    """Outputs of one CLI run on ``tree``: ``exit``, ``stdout``, ``stderr`` and ``file:<name>``."""
+    tree = Path(tree).resolve()
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BO_LAB_")}
+    env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "out"
+        done = subprocess.run([sys.executable, "-m", "bolab.cli", command, "--config",
+                               str(tree / "configs" / config), "--out", str(out), *extra],
+                              cwd=work, env=env, capture_output=True, timeout=600)
+        mask = str(out).encode()
+        outputs = {"exit": str(done.returncode).encode(),
+                   "stdout": done.stdout.replace(mask, OUT_MASK),
+                   "stderr": done.stderr.replace(mask, OUT_MASK)}
+        if out.is_dir():
+            outputs.update({f"file:{p.relative_to(out)}": p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()})
+    return outputs
+
+
+def _first_difference(old: bytes, new: bytes) -> str:
+    for i, (a, b) in enumerate(zip(old.splitlines(), new.splitlines()), start=1):
+        if a != b:
+            return f"line {i}: {a[:120]!r} -> {b[:120]!r}"
+    return f"length {len(old)} -> {len(new)} bytes"
+
+
+def diff_outputs(label: str, old: dict, new: dict) -> list:
+    """One line per output that is missing on one side or differs."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old or key not in new:
+            lines.append(f"{label}: {key} only in {'new' if key not in old else 'old'} tree")
+        elif old[key] != new[key]:
+            lines.append(f"{label}: {key} differs, {_first_difference(old[key], new[key])}")
+    return lines
+
+
+def compare_trees(old_tree: Path, new_tree: Path, jobs) -> tuple[int, list]:
+    """(number of outputs compared, difference lines) over ``jobs``."""
+    count, lines = 0, []
+    for command, config, extra in jobs:
+        old = run_job(old_tree, command, config, extra)
+        new = run_job(new_tree, command, config, extra)
+        count += len(old.keys() | new.keys())
+        lines += diff_outputs(" ".join([command, config, *extra]), old, new)
+    return count, lines
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__)
+        return 2
+    old_tree, new_tree = (Path(a) for a in argv)
+    jobs = default_jobs(new_tree / "configs")
+    count, lines = compare_trees(old_tree, new_tree, jobs)
+    for line in lines:
+        print(line)
+    print(f"{count} outputs of {len(jobs)} runs compared: "
+          + (f"{len(lines)} differ" if lines else "all identical"))
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

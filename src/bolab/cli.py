@@ -12,25 +12,25 @@ Commands and their artifacts:
     scaling   scaling.csv, report.json
 
 --threads (or BO_LAB_THREADS, or "threads" in the config) sets the number of
-sweep workers of ``scaling``; other commands ignore it.
+sweep workers of ``scaling``; other commands ignore it. A config key that no
+level of the schema lists exits 2, and a "heavy" block may only restate the
+fixed heavy-regime criterion (region and t1_scale "auto", ratio_threshold 10).
 
-A config's "heavy" block may only restate the fixed heavy-regime criterion
-(region and t1_scale "auto", ratio_threshold 10); other values exit 2.
-
-Exit codes: 0 success, 1 usage, 2 config error (bad or non-finite config
-value, field combination, unwritable output), 3 numerical failure (no
-convergence, non-finite result). Flags override BO_LAB_* environment
-variables, which override config-file values; all three go through the same
-checks (threads >= 1, seed >= 0). Identical configs give byte-identical
-files for any --threads.
+Exit codes: 0 success, 1 usage, 2 config error (unknown field, bad or
+non-finite config value, field combination, unwritable output), 3 numerical
+failure (no convergence, non-finite result). Flags override BO_LAB_*
+environment variables, which override config-file values; all three go
+through the same conversion and checks (threads >= 1, seed >= 0). Identical
+configs give byte-identical files for any --threads.
 """
 
 import argparse
+import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import diagnostics
 from .bo import adiabatic_residual, assemble_product_state, solve_nuclear
@@ -38,7 +38,7 @@ from .clamped import HEAVY_RATIO_THRESHOLD, scan_pes
 from .diagnostics import SCHEMA_VERSION
 from .exact import DEFAULT_SEED, SolverError, assemble_full_hamiltonian, rayleigh_quotient, solve_exact
 from .grid import Grid1D, build_grid
-from .model import ModelSpec, potential_from_dict
+from .model import ModelSpec, potential_from_dict, reject_unknown
 from .projection import build_projector, solve_effective
 from .serialize import NonFiniteError, write_csv, write_json
 
@@ -47,31 +47,9 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    model: ModelSpec
-    grid1: Grid1D
-    grid2: Grid1D
-    n_surfaces: int
-    projector_rank: int
-    nuclear_levels: int
-    exact_k: int
-    sweep: list | None
-    output_dir: Path
-    seed: int
-    threads: int
-
-
-def _require(data: dict, key: str, context: str):
-    if key not in data:
-        raise ConfigError(f"missing field '{key}' in {context}")
-    return data[key]
-
-
-def _object(value, context: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{context} must be a JSON object, not {type(value).__name__}")
-    return value
+class RunConfig(SimpleNamespace):
+    """A validated config: an attribute per top-level key of ``_CONFIG`` but the fixed
+    ``schema_version`` and ``heavy``, with ``model`` a ModelSpec and the grids Grid1D."""
 
 
 def _convert(kind, value, name: str):
@@ -90,15 +68,66 @@ def _convert(kind, value, name: str):
     return out
 
 
+def _sweep(value, name: str) -> list | None:
+    if not isinstance(value, list | None):
+        raise ConfigError("sweep must be a list of mass ratios")
+    ratios = None if value is None else [_convert(float, r, name) for r in value]
+    if ratios and any(b <= a for a, b in zip(ratios, ratios[1:])):
+        raise ConfigError("sweep mass ratios must be strictly ascending")
+    return ratios
+
+
+# One table per config level. A key maps to a fixed value, which a config may only
+# restate, or to (kind, default, least): kind is a nested table, a type for _convert
+# or a function of (value, dotted name); a key without a default is required, and
+# least bounds it below. Potential keys are checked against model._FAMILIES.
+_GRID = {"x_min": (float,), "x_max": (float,), "n": (int,)}
+_CONFIG = {
+    "schema_version": SCHEMA_VERSION,
+    "model": ({"M": (float,), "m": (float,), "potential": (potential_from_dict,)},),
+    "grid1": (_GRID,), "grid2": (_GRID,),
+    "heavy": ({"region": "auto", "t1_scale": "auto", "ratio_threshold": HEAVY_RATIO_THRESHOLD}, {}),
+    "sweep": (_sweep, None), "output_dir": (Path, "out"),
+    "n_surfaces": (int, 2, 1), "projector_rank": (int, 1, 1), "nuclear_levels": (int, 2, 1),
+    "exact_k": (int, 1, 1), "seed": (int, DEFAULT_SEED, 0), "threads": (int, 1, 1),
+}
+
+
+def _section(data, table: dict, prefix: str = "") -> dict:
+    """Check a config object, whose keys' dotted paths begin with ``prefix``, against
+    ``table``; return its converted values, defaults filled in and fixed keys left out."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{prefix[:-1] or 'config'} must be a JSON object, not {type(data).__name__}")
+    reject_unknown(data, table, prefix)
+    out = {}
+    for key, entry in table.items():
+        name = prefix + key
+        if not isinstance(entry, tuple):
+            value = data.get(key, entry)
+            value = _convert(float, value, name) if isinstance(entry, float) else value
+            if value != entry:
+                raise ConfigError(f"{name} is fixed at {json.dumps(entry)}, not {value!r}")
+            continue
+        kind, *rest = entry
+        if key not in data and not rest:
+            raise ConfigError(f"missing field '{key}' in {prefix[:-1] or 'config'}")
+        value = data[key] if key in data else rest[0]
+        if isinstance(kind, dict):
+            value = _section(value, kind, name + ".")
+        else:
+            value = _convert(kind, value, name) if isinstance(kind, type) else kind(value, name)
+        if len(rest) > 1 and value < rest[1]:
+            raise ConfigError(f"{name} must be >= {rest[1]}, not {value}")
+        out[key] = value
+    return out
+
+
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
-    """Read and validate a run configuration.
+    """Read and validate a run configuration; a key no table lists is a ConfigError.
 
-    ``overrides`` maps top-level keys (``output_dir``, ``threads``, ``seed``)
-    to values from the environment or the command line; they replace the
-    file's values before validation, so every source is checked the same way.
-    """
-    import json
-
+    ``overrides`` maps top-level keys (``output_dir``, ``threads``, ``seed``) to values
+    from the environment or the command line; they replace the file's values before
+    validation, so every source is checked the same way."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -107,76 +136,35 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
 
-    data = {**_object(data, "config"), **(overrides or {})}
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be a JSON object, not {type(data).__name__}")
+    data = {**data, **(overrides or {})}
     version = data.get("schema_version")
     if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-
     try:
-        model_data = _object(_require(data, "model", "config"), "model")
-        spec = ModelSpec(M=_convert(float, _require(model_data, "M", "model"), "model.M"),
-                         m=_convert(float, _require(model_data, "m", "model"), "model.m"),
-                         potential=potential_from_dict(_require(model_data, "potential", "model")))
+        fields = _section(data, _CONFIG)
+        fields["model"] = ModelSpec(**fields["model"])
     except ConfigError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # unknown fields, potential, masses
         raise ConfigError(str(exc)) from exc
-    g1 = _grid_from(_require(data, "grid1", "config"), "grid1")
-    g2 = _grid_from(_require(data, "grid2", "config"), "grid2")
-
-    # the heavy-regime criterion is fixed; a "heavy" block may only restate it
-    heavy = _object(data.get("heavy", {}), "heavy")
-    for key, fixed in (("region", "auto"), ("t1_scale", "auto"), ("ratio_threshold", HEAVY_RATIO_THRESHOLD)):
-        value = heavy.get(key, fixed)
-        if isinstance(fixed, float):
-            value = _convert(float, value, f"heavy.{key}")
-        if value != fixed:
-            raise ConfigError(f"heavy.{key} is fixed at {json.dumps(fixed)}, not {value!r}")
-
-    sweep = data.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, list):
-            raise ConfigError("sweep must be a list of mass ratios")
-        sweep = [_convert(float, r, "sweep") for r in sweep]
-        if any(b <= a for a, b in zip(sweep, sweep[1:])):
-            raise ConfigError("sweep mass ratios must be strictly ascending")
-
-    def integer(key, default, least=1):
-        value = _convert(int, data.get(key, default), key)
-        if value < least:
-            raise ConfigError(f"{key} must be >= {least}, not {value}")
-        return value
-
-    cfg = RunConfig(
-        model=spec, grid1=g1, grid2=g2,
-        n_surfaces=integer("n_surfaces", 2),
-        projector_rank=integer("projector_rank", 1),
-        nuclear_levels=integer("nuclear_levels", 2),
-        exact_k=integer("exact_k", 1),
-        sweep=sweep,
-        output_dir=_convert(Path, data.get("output_dir", "out"), "output_dir"),
-        seed=integer("seed", DEFAULT_SEED, least=0),
-        threads=integer("threads", 1),
-    )
-    if cfg.n_surfaces > g2.n:
+    for name in ("grid1", "grid2"):
+        try:
+            fields[name] = build_grid(**fields[name])
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+    del fields["heavy"]
+    cfg = RunConfig(**fields)
+    if cfg.n_surfaces > cfg.grid2.n:
         raise ConfigError("n_surfaces cannot exceed grid2.n")
     if cfg.projector_rank > cfg.n_surfaces:
         raise ConfigError("projector_rank cannot exceed n_surfaces")
-    if cfg.nuclear_levels > g1.n:
+    if cfg.nuclear_levels > cfg.grid1.n:
         raise ConfigError("nuclear_levels cannot exceed grid1.n")
     if not 1 <= cfg.exact_k <= 20:
         raise ConfigError("exact_k must be between 1 and 20")
     return cfg
-
-
-def _grid_from(data, name: str) -> Grid1D:
-    data = _object(data, name)
-    x_min, x_max, n = (_convert(kind, _require(data, key, name), f"{name}.{key}")
-                       for kind, key in ((float, "x_min"), (float, "x_max"), (int, "n")))
-    try:
-        return build_grid(x_min, x_max, n)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _grid_dict(g: Grid1D) -> dict:
@@ -292,9 +280,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog=f"bolab {command}", add_help=True)
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", default=None,
                         help="sweep workers of 'scaling'; other commands ignore it")
-    parser.add_argument("--seed", type=int, default=None, help="eigensolver start-vector seed")
+    parser.add_argument("--seed", default=None, help="eigensolver start-vector seed")
     try:
         args = parser.parse_args(argv[1:])
     except SystemExit:

@@ -12,6 +12,7 @@ The harmonic family anchors every quantitative check, because its full
 two-body spectrum follows from a 2x2 normal-mode diagonalization.
 """
 
+import difflib
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,14 +159,25 @@ def potential_to_dict(pot: Potential) -> dict:
     return out
 
 
-def potential_from_dict(data: dict) -> Potential:
+def reject_unknown(data: dict, known, prefix: str = "") -> None:
+    """ValueError naming the first key of ``data`` outside ``known`` and the nearest known key."""
+    for key in data:
+        if key not in known:
+            near = difflib.get_close_matches(str(key), known, n=1)
+            hint = f" (did you mean '{prefix}{near[0]}'?)" if near else ""
+            raise ValueError(f"unknown field '{prefix}{key}'{hint}")
+
+
+def potential_from_dict(data: dict, path: str = "potential") -> Potential:
+    """The potential a config object describes; an unknown key is named as ``path.key``."""
     try:
         family = data["family"]
     except (KeyError, TypeError):
         raise ValueError("potential config must carry a 'family' field") from None
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown potential family {family!r}")
     cls, fields = _FAMILIES[family]
+    reject_unknown(data, ("family", *fields), f"{path}.")
     missing = [name for name in fields if name not in data]
     if missing:
         raise ValueError(f"potential family {family!r} is missing parameters {missing}")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -138,6 +139,52 @@ def test_heavy_value_other_than_the_criterion_exits_2(tmp_path, capsys, key, val
     assert not (tmp_path / "report.json").exists()
 
 
+TYPOS = {  # dotted path of the misspelled key -> the known key it is close to, if any
+    "nuclear_level": "nuclear_levels", "projector_rnak": "projector_rank", "Seed": "seed",
+    "sweeps": "sweep", "output-dir": "output_dir", "heavy.ratio_treshold": "heavy.ratio_threshold",
+    "grid1.npoints": None, "model.mass": None, "model.potential.k3": None,
+}
+
+
+@pytest.mark.parametrize("typo", [*TYPOS, "leftover k2"])
+def test_unknown_field_exits_2_naming_it(tmp_path, capsys, typo):
+    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
+    if typo == "leftover k2":  # a soft_coulomb potential keeping separable_harmonic's k2
+        cfg["model"]["potential"] = {"family": "soft_coulomb", "z": 1.0, "s": 1.0, "k1": 1.0, "k2": 1.0}
+        typo = "model.potential.k2"
+    else:
+        *parents, key = typo.split(".")
+        target = cfg
+        for name in parents:
+            target = target[name]
+        target[key] = 5
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("pes", path, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    near = TYPOS.get(typo)
+    assert err.startswith(f"config error: unknown field '{typo}'")
+    assert (f"(did you mean '{near}'?)" in err) if near else "did you mean" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_string_potential_family_is_named(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
+    cfg["model"]["potential"]["family"] = ["separable_harmonic"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("pes", path, tmp_path) == 2
+    assert "config error: unknown potential family ['separable_harmonic']" in capsys.readouterr().err
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (REPO / "README.md").read_text()
+    path = tmp_path / "readme.json"
+    path.write_text(re.search(r"### Config schema.*?```json\n(.*?)```", readme, re.S).group(1))
+    cfg = load_config(str(path))
+    assert (cfg.n_surfaces, cfg.sweep, cfg.seed) == (3, [10.0, 100.0, 1000.0, 2000.0], 20240817)
+
+
 def test_unknown_command_exits_1(capsys):
     assert main(["frobnicate", "--config", "x"]) == 1
     err = capsys.readouterr().err
@@ -242,6 +289,18 @@ def test_threads_and_seed_checked_from_every_source(tmp_path, capsys, monkeypatc
     assert _run("pes", path, tmp_path, extra) == 2
     err = capsys.readouterr().err
     assert f"config error: {key} must be" in err
+
+
+@pytest.mark.parametrize("key", ["threads", "seed"])
+def test_flag_and_env_values_convert_the_same_way(tmp_path, capsys, monkeypatch, key):
+    errors = []
+    monkeypatch.setenv(f"BO_LAB_{key.upper()}", "5.0")
+    assert _run("pes", CONFIG_DIR / "separable.json", tmp_path) == 2
+    errors.append(capsys.readouterr().err)
+    monkeypatch.delenv(f"BO_LAB_{key.upper()}")
+    assert _run("pes", CONFIG_DIR / "separable.json", tmp_path, (f"--{key}", "5.0")) == 2
+    errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"config error: {key}: invalid literal for int() with base 10: '5.0'\n"
 
 
 def test_overrides_replace_config_values(tmp_path):

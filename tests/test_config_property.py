@@ -7,10 +7,11 @@ from dataclasses import astuple
 from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bolab.cli import ConfigError, load_config
+from bolab.cli import _CONFIG, ConfigError, load_config
+from bolab.model import _FAMILIES
 from tests.conftest import CONFIG_DIR
 
 BASE = json.loads((CONFIG_DIR / "separable.json").read_text())
@@ -65,3 +66,27 @@ def test_load_config_rejects_or_returns_finite(tmp_path_factory, field, value):
         # no silent truncation: an accepted number is taken as written, a digit string as its int
         got = attrgetter(".".join(field))(cfg)
         assert got == (int(value) if isinstance(value, str) else value)
+
+
+# every object level of a config, with the keys its table knows
+LEVELS = {(): _CONFIG, ("model",): _CONFIG["model"][0], ("grid1",): _CONFIG["grid1"][0],
+          ("grid2",): _CONFIG["grid2"][0], ("heavy",): _CONFIG["heavy"][0],
+          ("model", "potential"): ("family", *_FAMILIES[BASE["model"]["potential"]["family"]][1])}
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=lambda level: ".".join(level) or "top")
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(key=st.text(max_size=12), value=JSON_VALUES)
+def test_unknown_key_at_any_level_is_named(tmp_path_factory, level, key, value):
+    assume(key not in LEVELS[level])
+    data = copy.deepcopy(BASE)
+    target = data
+    for name in level:
+        target = target[name]
+    target[key] = value
+    path = tmp_path_factory.getbasetemp() / "unknown.json"
+    path.write_text(json.dumps(data))
+    dotted = ".".join((*level, key))
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path))
+    assert str(info.value).startswith(f"unknown field '{dotted}'")

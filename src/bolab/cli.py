@@ -2,14 +2,15 @@
 
     bolab <command> --config cfg.json [--out DIR] [--threads N] [--seed S]
 
-Commands and their artifacts:
+Each command writes its artifacts from the stages of one ``diagnostics.Run``
+that it reads; a Run computes each stage once, on first read:
 
-    pes       pes.csv              scanned surfaces, one row per nuclear point
-    bo        theta.csv, bo_energies.json
-    exact     exact_energies.json  oracle eigenvalues and residuals
-    project   heff_energies.json   compressed-spectrum energies and drift
-    compare   report.json          consolidated single-model report
-    scaling   scaling.csv, report.json
+    pes       pes.csv                   field
+    bo        theta.csv, bo_energies.json  nuclear, product states, H, residuals
+    exact     exact_energies.json       H alone, solved from its own pieces (no scan)
+    project   heff_energies.json        field, H, oracle at k = 1, compression at rank N
+    compare   report.json               every stage; compression at ranks 1..N
+    scaling   scaling.csv, report.json  a Run per mass ratio, all sharing one field
 
 --threads (or BO_LAB_THREADS, or "threads" in the config) sets the number of
 sweep workers of ``scaling``; other commands ignore it. A config key that no
@@ -33,10 +34,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import diagnostics
-from .bo import adiabatic_residual, assemble_product_state, solve_nuclear
-from .clamped import HEAVY_RATIO_THRESHOLD, scan_pes
-from .diagnostics import SCHEMA_VERSION
-from .exact import DEFAULT_SEED, SolverError, assemble_full_hamiltonian, rayleigh_quotient, solve_exact
+from .clamped import HEAVY_RATIO_THRESHOLD
+from .diagnostics import SCHEMA_VERSION, Run
+from .exact import DEFAULT_SEED, SolverError, rayleigh_quotient, solve_exact
 from .grid import Grid1D, build_grid
 from .model import ModelSpec, potential_from_dict, reject_unknown
 from .projection import build_projector, solve_effective
@@ -174,64 +174,50 @@ def _grid_dict(g: Grid1D) -> dict:
 # --------------------------------------------------------------------------
 # command implementations
 
+def _run(cfg: RunConfig, exact_k: int | None = None) -> Run:
+    return Run(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces, cfg.nuclear_levels,
+               cfg.seed, cfg.exact_k if exact_k is None else exact_k)
+
+
 def run_pes(cfg: RunConfig, out: Path) -> list:
-    field = scan_pes(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces)
+    field = _run(cfg).field
     header = ["x1"] + [f"lambda_{a}" for a in range(cfg.n_surfaces)]
-    rows = [[x] + [field.energies[a, i] for a in range(cfg.n_surfaces)]
-            for i, x in enumerate(cfg.grid1.points)]
+    rows = [[x, *field.energies[:, i]] for i, x in enumerate(cfg.grid1.points)]
     write_csv(out / "pes.csv", header, rows)
     return ["pes.csv"]
 
 
 def run_bo(cfg: RunConfig, out: Path) -> list:
-    field = scan_pes(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces)
-    sol = solve_nuclear(field, cfg.model, 0, cfg.nuclear_levels)
-    h = assemble_full_hamiltonian(cfg.model, cfg.grid1, cfg.grid2)
-    residual = adiabatic_residual(field, 0)
+    run = _run(cfg)
+    sol = run.nuclear[0]
     header = ["x1"] + [f"theta_{n}" for n in range(cfg.nuclear_levels)]
-    rows = [[x] + [sol.wavefunctions[n, i] for n in range(cfg.nuclear_levels)]
-            for i, x in enumerate(cfg.grid1.points)]
+    rows = [[x, *sol.wavefunctions[:, i]] for i, x in enumerate(cfg.grid1.points)]
     write_csv(out / "theta.csv", header, rows)
-    entries = []
-    for n in range(cfg.nuclear_levels):
-        state = assemble_product_state(sol, field, n)
-        entries.append({
-            "surface": 0,
-            "level": n,
-            "energy": float(sol.energies[n]),
-            "rayleigh_quotient": rayleigh_quotient(h, state.amplitudes),
-            "residual_max": residual.max,
-        })
+    entries = [{"surface": 0, "level": n, "energy": float(sol.energies[n]),
+                "rayleigh_quotient": rayleigh_quotient(run.hamiltonian, state.amplitudes),
+                "residual_max": run.residuals[0].max}
+               for n, state in enumerate(run.product_states)]
     write_json(out / "bo_energies.json", {"schema_version": SCHEMA_VERSION, "levels": entries})
     return ["theta.csv", "bo_energies.json"]
 
 
 def run_exact(cfg: RunConfig, out: Path) -> list:
-    h = assemble_full_hamiltonian(cfg.model, cfg.grid1, cfg.grid2)
-    sol = solve_exact(h, cfg.exact_k, seed=cfg.seed)
+    sol = solve_exact(_run(cfg).hamiltonian, cfg.exact_k, seed=cfg.seed)  # no scan, no hint
     write_json(out / "exact_energies.json", {
-        "schema_version": SCHEMA_VERSION,
-        "k": cfg.exact_k,
-        "energies": [float(e) for e in sol.energies],
-        "residuals": [float(r) for r in sol.residuals],
-        "grid1": _grid_dict(cfg.grid1),
-        "grid2": _grid_dict(cfg.grid2),
-    })
+        "schema_version": SCHEMA_VERSION, "k": cfg.exact_k,
+        "energies": [float(e) for e in sol.energies], "residuals": [float(r) for r in sol.residuals],
+        "grid1": _grid_dict(cfg.grid1), "grid2": _grid_dict(cfg.grid2)})
     return ["exact_energies.json"]
 
 
 def run_project(cfg: RunConfig, out: Path) -> list:
-    field = scan_pes(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces)
-    h = assemble_full_hamiltonian(cfg.model, cfg.grid1, cfg.grid2)
-    exact = solve_exact(h, 1, seed=cfg.seed, lam0=field.energies[0])
-    p = build_projector(field, cfg.projector_rank)
-    eff = solve_effective(p, h, min(cfg.exact_k, p.subspace_dim - 1))
+    run = _run(cfg, exact_k=1)
+    p = build_projector(run.field, cfg.projector_rank)
+    eff = solve_effective(p, run.hamiltonian, min(cfg.exact_k, p.subspace_dim - 1))
     write_json(out / "heff_energies.json", {
-        "schema_version": SCHEMA_VERSION,
-        "N": cfg.projector_rank,
+        "schema_version": SCHEMA_VERSION, "N": cfg.projector_rank,
         "energies": [float(e) for e in eff.energies],
-        "gap_to_exact": float(eff.energies[0] - exact.energies[0]),
-    })
+        "gap_to_exact": float(eff.energies[0] - run.exact_energies[0])})
     return ["heff_energies.json"]
 
 

@@ -244,110 +244,133 @@ class ComparisonReport:
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
-@dataclass
-class SingleRunResult:
-    """Everything one pipeline pass produces; reports are assembled from these."""
-
-    field: ElectronicField
-    hamiltonian: FullHamiltonian
-    nuclear: dict
-    product_states: list
-    exact_energies: np.ndarray
-    uncertainty: list
-    residuals: dict
-    row: ScalingRow
-
-
-def run_pipeline(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
-                 nuclear_levels: int = 2, seed: int = DEFAULT_SEED,
-                 exact_k: int = 1, field: ElectronicField | None = None) -> SingleRunResult:
-    """Scan, solve, assemble, and compare one model against the exact oracle.
-
-    The heavy report spans ``nuclear_region`` of the nuclear ground state and
-    takes its first level spacing (its kinetic expectation at one level) as
-    the kinetic scale. All uncertainty products (theta levels, reduced heavy
-    states of every assembled level, every scanned slice state) are checked.
-    ``field`` defaults to ``scan_pes(spec, grid1, grid2, A)``. The scan holds
-    no M, so a mass sweep passes one field to every row; a field from other
-    grids or with another surface count is a ValueError. Its lambda_0 is the
-    oracle's shift hint, which ``solve_exact`` certifies before use.
-    """
-    if field is None:
-        field = scan_pes(spec, grid1, grid2, A)
-    elif (field.grid1, field.grid2, field.n_surfaces) != (grid1, grid2, A):
-        raise ValueError("field was scanned on other grids or with another surface count")
-    sol0 = solve_nuclear(field, spec, 0, nuclear_levels)
-    nuclear = {0: sol0}
-    states = [assemble_product_state(sol0, field, n) for n in range(nuclear_levels)]
-
-    h = assemble_full_hamiltonian(spec, grid1, grid2)
-    rq = rayleigh_quotient(h, states[0].amplitudes)
-    exact = solve_exact(h, k=exact_k, seed=seed, lam0=field.energies[0])
-    rel_err = abs(rq - exact.energies[0]) / abs(exact.energies[0])
-
-    t1_cands = t1_scale_candidates(sol0, spec.M)
-    heavy = heavy_gap_report(field, nuclear_region(sol0.theta(0)),
-                             t1_cands.get("level_spacing", t1_cands["kinetic_expectation"]))
-
-    uncertainty = []
-    for n in range(nuclear_levels):
-        uncertainty.append(uncertainty_product(sol0.theta(n), label=f"theta[{n}]"))
-    for st in states:
-        uncertainty.append(nuclear_uncertainty(st, label=f"nuclear_reduced[level={st.level}]"))
-    slice_products = slice_uncertainty_products(field)
-    # products tie at round-off (identical or shifted slice states), so report
-    # the first near-minimal slice in row-major order rather than argmin's pick
-    tied = slice_products <= slice_products.min() * (1.0 + SLICE_TIE_RTOL)
-    a_min, i_min = np.unravel_index(np.flatnonzero(tied)[0], tied.shape)
-    uncertainty.append(uncertainty_product(field.state(a_min, i_min),
-                                           label=f"slice_min[a={a_min},i={i_min}]"))
-
-    residuals = {}
-    res_max = res_mean = 0.0
-    for a in range(A):
-        rep = adiabatic_residual(field, a)
-        residuals[f"surface_{a}"] = {"max": rep.max, "mean": rep.mean}
-        if a == 0:
-            res_max, res_mean = rep.max, rep.mean
-
-    row = ScalingRow(mass_ratio=spec.M / spec.m, kappa=kappa(spec),
-                     bo_energy=float(sol0.energies[0]), rayleigh_quotient=rq,
-                     exact_energy=float(exact.energies[0]),
-                     relative_error=float(rel_err), heavy=heavy,
-                     t1_candidates=t1_cands,
-                     min_uncertainty_product=min(u.product for u in uncertainty),
-                     residual_max=res_max, residual_mean=res_mean)
-    return SingleRunResult(field=field, hamiltonian=h, nuclear=nuclear, product_states=states,
-                           exact_energies=exact.energies, uncertainty=uncertainty,
-                           residuals=residuals, row=row)
-
-
-def _heff_summary(result: SingleRunResult, ranks) -> dict:
-    """Lowest compressed-spectrum energy at each retained rank, and the last one's gap to the oracle."""
-    lowest = [float(solve_effective(build_projector(result.field, rank), result.hamiltonian,
-                                    k=1).energies[0]) for rank in ranks]
-    return {"ranks": list(ranks), "lowest": lowest,
-            "gap_to_exact": float(lowest[-1] - result.exact_energies[0])}
-
-
 def _model_dict(spec: ModelSpec) -> dict:
     return {"M": spec.M, "m": spec.m, "potential": potential_to_dict(spec.potential)}
+
+
+class Run:
+    """One model on one pair of grids, as stages computed on first read and then kept,
+    so every report of the run reads the same field, H and oracle solve.
+
+    The stages: ``field`` (the scan, or the ``field`` passed in), ``nuclear``
+    (nuclear_levels levels on surface 0, one on every other surface),
+    ``product_states`` (of surface 0), ``hamiltonian``, ``exact_energies`` (the
+    oracle's lowest exact_k, shifted from the scan's lambda_0, a hint that
+    ``solve_exact`` certifies), ``residuals`` (one per surface), ``uncertainty`` and
+    ``row``. The row's heavy report spans ``nuclear_region`` of the nuclear ground
+    state, takes its first level spacing (its kinetic expectation at one level) as
+    the kinetic scale, and needs A >= 2. ``heff(ranks)`` and ``report(**fields)``
+    read the stages. The scan holds no M, so a mass sweep passes one field to every
+    row; a field from other grids or with another surface count is a ValueError.
+    Of the oracle only the energies are kept. A Run shares no lock with another.
+    """
+
+    def __init__(self, spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
+                 nuclear_levels: int = 2, seed: int = DEFAULT_SEED, exact_k: int = 1,
+                 field: ElectronicField | None = None):
+        if field is not None and (field.grid1, field.grid2, field.n_surfaces) != (grid1, grid2, A):
+            raise ValueError("field was scanned on other grids or with another surface count")
+        self.spec, self.grid1, self.grid2, self.A = spec, grid1, grid2, A
+        self.nuclear_levels, self.seed, self.exact_k = nuclear_levels, seed, exact_k
+        if field is not None:
+            self.field = field
+
+    def __getattr__(self, name: str):
+        # reached only while a stage is unset: compute it with ``_<name>`` and keep it
+        if not hasattr(Run, "_" + name):
+            raise AttributeError(f"Run has no stage {name!r}")
+        setattr(self, name, getattr(self, "_" + name)())
+        return self.__dict__[name]
+
+    def _field(self) -> ElectronicField:
+        return scan_pes(self.spec, self.grid1, self.grid2, self.A)
+
+    def _nuclear(self) -> dict:
+        return {a: solve_nuclear(self.field, self.spec, a, self.nuclear_levels if a == 0 else 1)
+                for a in range(self.A)}
+
+    def _product_states(self) -> list:
+        return [assemble_product_state(self.nuclear[0], self.field, n)
+                for n in range(self.nuclear_levels)]
+
+    def _hamiltonian(self) -> FullHamiltonian:
+        return assemble_full_hamiltonian(self.spec, self.grid1, self.grid2)
+
+    def _exact_energies(self) -> np.ndarray:
+        return solve_exact(self.hamiltonian, k=self.exact_k, seed=self.seed,
+                           lam0=self.field.energies[0]).energies
+
+    def _residuals(self) -> list:
+        return [adiabatic_residual(self.field, a) for a in range(self.A)]
+
+    def _uncertainty(self) -> list:
+        field, sol0 = self.field, self.nuclear[0]
+        out = [uncertainty_product(sol0.theta(n), label=f"theta[{n}]")
+               for n in range(self.nuclear_levels)]
+        out += [nuclear_uncertainty(st, label=f"nuclear_reduced[level={st.level}]")
+                for st in self.product_states]
+        slice_products = slice_uncertainty_products(field)
+        # products tie at round-off (identical or shifted slice states), so report
+        # the first near-minimal slice in row-major order rather than argmin's pick
+        tied = slice_products <= slice_products.min() * (1.0 + SLICE_TIE_RTOL)
+        a_min, i_min = np.unravel_index(np.flatnonzero(tied)[0], tied.shape)
+        out.append(uncertainty_product(field.state(a_min, i_min),
+                                       label=f"slice_min[a={a_min},i={i_min}]"))
+        return out
+
+    def _row(self) -> ScalingRow:
+        spec, sol0 = self.spec, self.nuclear[0]
+        rq = rayleigh_quotient(self.hamiltonian, self.product_states[0].amplitudes)
+        e0 = self.exact_energies[0]
+        t1_cands = t1_scale_candidates(sol0, spec.M)
+        heavy = heavy_gap_report(self.field, nuclear_region(sol0.theta(0)),
+                                 t1_cands.get("level_spacing", t1_cands["kinetic_expectation"]))
+        return ScalingRow(mass_ratio=spec.M / spec.m, kappa=kappa(spec),
+                          bo_energy=float(sol0.energies[0]), rayleigh_quotient=rq,
+                          exact_energy=float(e0), relative_error=float(abs(rq - e0) / abs(e0)),
+                          heavy=heavy, t1_candidates=t1_cands,
+                          min_uncertainty_product=min(u.product for u in self.uncertainty),
+                          residual_max=self.residuals[0].max, residual_mean=self.residuals[0].mean)
+
+    def heff(self, ranks) -> dict:
+        """Lowest compressed-spectrum energy at each rank, and the last one's gap to the oracle."""
+        lowest = [float(solve_effective(build_projector(self.field, rank), self.hamiltonian,
+                                        k=1).energies[0]) for rank in ranks]
+        return {"ranks": list(ranks), "lowest": lowest,
+                "gap_to_exact": float(lowest[-1] - self.exact_energies[0])}
+
+    def report(self, **fields) -> ComparisonReport:
+        """The report of this run alone; ``fields`` set the optional ones or replace any."""
+        residuals = {f"surface_{r.surface}": {"max": r.max, "mean": r.mean} for r in self.residuals}
+        return ComparisonReport(**{"model": _model_dict(self.spec), "mass_ratios": [self.row.mass_ratio],
+                                   "rows": [self.row], "heavy": self.row.heavy,
+                                   "uncertainty": self.uncertainty, "residuals": residuals, **fields})
+
+
+def run_pipeline(*args, **kwargs) -> Run:
+    """``Run(*args, **kwargs)`` with its ``row`` computed: a mass sweep's unit of work."""
+    run = Run(*args, **kwargs)
+    run.row  # computed here, on the worker thread that runs this call
+    return run
 
 
 def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2: Grid1D,
                         A: int, N: int = 1, nuclear_levels: int = 2, threads: int = 1,
                         seed: int = DEFAULT_SEED) -> ComparisonReport:
-    """Run the full pipeline at each mass ratio and collect the error trend.
+    """A Run at each mass ratio, and the error trend of their rows.
 
     ``spec`` supplies the light mass and potential; the heavy mass is set to
-    ratio * m per row. The ratios must be strictly ascending (a repeat leaves
-    the slope undefined); a ratio that gives no valid row model is a
-    ValueError naming it, before the scan. The scan holds no M, so it runs
+    ratio * m per row. ``A < 2`` (no gap report) is a ValueError naming
+    ``n_surfaces``. The ratios must be strictly ascending (a repeat leaves the
+    slope undefined); a ratio that gives no valid row model is a ValueError
+    naming it. Both come before the scan. The scan holds no M, so it runs
     once, before the rows, and its failure names no mass ratio. The
     compressed-spectrum summary at rank N is attached for the final (largest)
     ratio. Rows run on ``threads`` workers and are collected in ratio order,
     so the report is identical for any worker count.
     """
+    if A < 2:
+        raise ValueError(f"n_surfaces must be at least 2 for the gap report, not {A}")
     ratios = [float(r) for r in mass_ratios]
     if not ratios:
         raise ValueError("mass_ratios is empty: a sweep needs at least one mass ratio")
@@ -381,33 +404,23 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
         logs_e = np.log([max(r.relative_error, 1e-300) for r in rows])
         slope = float(np.polyfit(logs_k, logs_e, 1)[0])
     last = results[-1]
-    return ComparisonReport(model=_model_dict(spec), mass_ratios=ratios, rows=rows,
-                            heavy=last.row.heavy, uncertainty=last.uncertainty,
-                            residuals=last.residuals, heff=_heff_summary(last, [N]),
-                            error_kappa_slope=slope)
+    return last.report(model=_model_dict(spec), mass_ratios=ratios, rows=rows,
+                       heff=last.heff([N]), error_kappa_slope=slope)
 
 
 def compare_report(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, N: int,
                    nuclear_levels: int = 2, seed: int = DEFAULT_SEED,
                    exact_k: int = 1) -> ComparisonReport:
-    """Single-model consolidated report: oracle comparison, projection drift,
-    heavy-kinetic coupling summary, residuals, uncertainty suite."""
-    result = run_pipeline(spec, grid1, grid2, A, nuclear_levels=nuclear_levels,
-                          seed=seed, exact_k=exact_k)
-    field = result.field
-
+    """Single-model consolidated report of one Run: oracle comparison, projection
+    drift, heavy-kinetic coupling summary, residuals, uncertainty suite. ``A < 2``
+    is a ValueError naming ``n_surfaces``, before any compute."""
+    if A < 2:
+        raise ValueError(f"n_surfaces must be at least 2 for the gap report, not {A}")
+    run = Run(spec, grid1, grid2, A, nuclear_levels, seed, exact_k)
     # heavy-kinetic couplings between the assembled states of every surface
-    nuclear = dict(result.nuclear)
-    for a in range(1, A):
-        nuclear[a] = solve_nuclear(field, spec, a, 1)
-    mat = t1_coupling_matrix(field, nuclear, [(a, 0) for a in range(A)], spec.M)
-    off = mat - np.diag(np.diag(mat))
-    offdiag_max = float(np.max(np.abs(off)))
-    min_gap = float(np.min(np.diff(field.energies, axis=0)))
+    mat = t1_coupling_matrix(run.field, run.nuclear, [(a, 0) for a in range(A)], spec.M)
+    offdiag_max = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))
+    min_gap = float(np.min(np.diff(run.field.energies, axis=0)))
     t1_summary = {"offdiag_max": offdiag_max, "min_adjacent_gap": min_gap,
                   "suppression_ratio": offdiag_max / min_gap if min_gap > 0 else None}
-
-    return ComparisonReport(model=_model_dict(spec), mass_ratios=[spec.M / spec.m],
-                            rows=[result.row], heavy=result.row.heavy,
-                            uncertainty=result.uncertainty, residuals=result.residuals,
-                            t1_coupling=t1_summary, heff=_heff_summary(result, range(1, N + 1)))
+    return run.report(t1_coupling=t1_summary, heff=run.heff(range(1, N + 1)))

@@ -169,7 +169,7 @@ def reject_unknown(data: dict, known, prefix: str = "") -> None:
 
 
 def potential_from_dict(data: dict, path: str = "potential") -> Potential:
-    """The potential a config object describes; an unknown key is named as ``path.key``."""
+    """The potential a config object describes; a bad or unknown key is named as ``path.key``."""
     try:
         family = data["family"]
     except (KeyError, TypeError):
@@ -186,8 +186,8 @@ def potential_from_dict(data: dict, path: str = "potential") -> Potential:
         value = data[name]
         try:
             params[name] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"potential.{name}: {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}.{name}: {exc}") from None
         if isinstance(value, bool) or not np.isfinite(params[name]):
-            raise ValueError(f"potential.{name} must be a finite number, not {value!r}")
+            raise ValueError(f"{path}.{name} must be a finite number, not {value!r}")
     return cls(**params)

@@ -89,9 +89,9 @@ def counted_calls(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
+    count(diagnostics, "scan_pes")
+    count(diagnostics, "assemble_full_hamiltonian")
     for module in (cli, diagnostics):
-        count(module, "scan_pes")
-        count(module, "assemble_full_hamiltonian")
         count(module, "solve_exact",
               lambda kwargs: "solve_exact(lam0)" if kwargs.get("lam0") is not None else "solve_exact")
     count(exact, "splu")
@@ -115,6 +115,18 @@ def test_stage_calls_per_command(tmp_path, counted_calls, command, config, expec
     # and solves each of its 4 rows with the scan's lambda_0, compressing only the last
     assert _run(command, CONFIG_DIR / f"{config}.json", tmp_path) == 0
     assert Counter(counted_calls) == expected
+
+
+def test_run_computes_each_stage_once(counted_calls):
+    from bolab.diagnostics import Run
+
+    cfg = load_config(str(CONFIG_DIR / "separable.json"))
+    run = Run(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces)
+    energies = run.exact_energies
+    assert run.row.exact_energy == energies[0]
+    assert run.heff([1])["ranks"] == [1]
+    assert Counter(counted_calls) == {"scan_pes": 1, "assemble_full_hamiltonian": 1,
+                                      "solve_exact(lam0)": 1, "splu": 1, "cholesky_banded": 1}
 
 
 @pytest.mark.parametrize("heavy", [{}, {"region": "auto", "t1_scale": "auto", "ratio_threshold": 10.0},
@@ -236,6 +248,37 @@ def test_single_surface_compare_exits_2(tmp_path, command):
     path = tmp_path / "one.json"
     path.write_text(json.dumps(cfg))
     assert _run(command, path, tmp_path) == 2
+
+
+def _single_surface_config(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
+    cfg.update(n_surfaces=1, projector_rank=1, sweep=[10.0, 100.0])
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("command", ["compare", "scaling"])
+def test_single_surface_gap_report_fails_before_any_compute(tmp_path, capsys, counted_calls, command):
+    assert _run(command, _single_surface_config(tmp_path), tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("config error: n_surfaces must be at least 2")
+    assert counted_calls == []
+
+
+@pytest.mark.parametrize("command", ["pes", "bo", "exact", "project"])
+def test_single_surface_other_commands_run(tmp_path, command):
+    assert _run(command, _single_surface_config(tmp_path), tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_bo_level_0_is_the_compare_row(tmp_path, config):
+    # bo and compare read the same Run stages, so their shared numbers agree bit for bit
+    assert _run("bo", CONFIG_DIR / config, tmp_path) == 0
+    assert _run("compare", CONFIG_DIR / config, tmp_path) == 0
+    level = json.loads((tmp_path / "bo_energies.json").read_text())["levels"][0]
+    row = json.loads((tmp_path / "report.json").read_text())["rows"][0]
+    assert (level["energy"], level["rayleigh_quotient"], level["residual_max"]) == (
+        row["bo_energy"], row["rayleigh_quotient"], row["residual_max"])
 
 
 @pytest.mark.parametrize("edit", [
@@ -437,15 +480,16 @@ def test_float_field_rejects_bool_by_name(tmp_path, field, value):
 
 @pytest.mark.parametrize("value, message", [(True, " must be a finite number, not True"),
                                             (False, " must be a finite number, not False"),
-                                            ("abc", ": could not convert"), (None, ": float()")],
-                         ids=["true", "false", "string", "null"])
+                                            ("abc", ": could not convert"), (None, ": float()"),
+                                            (10**400, ": int too large to convert to float")],
+                         ids=["true", "false", "string", "null", "overlong_int"])
 def test_potential_parameter_rejects_non_numbers_by_name(tmp_path, capsys, value, message):
     cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
     cfg["model"]["potential"]["k2"] = value
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     assert _run("pes", path, tmp_path) == 2
-    assert f"config error: potential.k2{message}" in capsys.readouterr().err
+    assert f"config error: model.potential.k2{message}" in capsys.readouterr().err
 
 
 def test_load_config_validates_counts(tmp_path):

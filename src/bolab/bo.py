@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .clamped import ElectronicField
-from .grid import Grid1D, GridFunction, central_difference, kinetic_diagonals
+from .grid import Grid1D, GridFunction, central_difference, fix_signs, kinetic_diagonals
 from .model import ModelSpec
 
 
@@ -32,7 +32,7 @@ class NuclearSolution:
     surface_index: int
     grid1: Grid1D
     energies: np.ndarray       # (n_levels,) ascending
-    wavefunctions: np.ndarray  # (n_levels, n1), real, largest-|entry| positive
+    wavefunctions: np.ndarray  # (n_levels, n1), real, signs by grid.fix_signs
 
     def theta(self, n: int) -> GridFunction:
         return GridFunction(self.grid1, self.wavefunctions[n])
@@ -72,11 +72,7 @@ def solve_nuclear(field: ElectronicField, spec: ModelSpec, a: int, n_levels: int
         vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(f"nuclear eigensolve failed to converge on surface {a}") from exc
-    thetas = (vecs / np.sqrt(g1.h)).T.copy()
-    for n in range(n_levels):
-        j = int(np.argmax(np.abs(thetas[n])))
-        if thetas[n, j] < 0:
-            thetas[n] = -thetas[n]
+    thetas = fix_signs((vecs / np.sqrt(g1.h)).T.copy())
     return NuclearSolution(surface_index=a, grid1=g1, energies=vals, wavefunctions=thetas)
 
 

@@ -7,18 +7,20 @@ For each heavy-coordinate value X the light particle sees the 1-D operator
 on the electronic grid. Scanning X over the nuclear grid produces the
 energy surfaces lambda_a(x1) and a family of slice eigenfunctions
 psi_a(x1; x2), sign-fixed along x1 so consecutive slices overlap with
-non-negative real part. The surfaces feed the nuclear solves in
-:mod:`bolab.bo`; the gap report quantifies whether adjacent surfaces stay
-far apart compared to the heavy particle's kinetic-energy scale over the
-region where its wavefunction lives.
+non-negative real part. Every slice, one or all n1 of them, goes through
+the batched tridiagonal solver of :mod:`bolab.grid`, so lambda_a are Ritz
+values, each within its residual norm of an exact slice eigenvalue and
+inside that eigenvalue's bisection bracket. The surfaces feed the nuclear
+solves in :mod:`bolab.bo`; the gap report quantifies whether adjacent
+surfaces stay far apart compared to the heavy particle's kinetic-energy
+scale over the region where its wavefunction lives.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .grid import Grid1D, GridFunction, kinetic_diagonals
+from .grid import Grid1D, GridFunction, _lowest_eigenpairs, kinetic_diagonals
 from .model import ModelSpec, evaluate_potential
 
 # Adjacent slice eigenvalues closer than this (relative to the local scale)
@@ -57,9 +59,8 @@ class ElectronicField:
         these overlaps, so every T1 matrix element in the slice basis
         (compressed Hamiltonian, nonadiabatic couplings) is read from them.
         """
-        h2 = self.grid2.h
-        return np.stack([h2 * self.states[:N, i, :] @ self.states[:N, i + 1, :].T
-                         for i in range(self.grid1.n - 1)])
+        psi = self.states[:N]
+        return self.grid2.h * np.matmul(psi[:, :-1].transpose(1, 0, 2), psi[:, 1:].transpose(1, 2, 0))
 
 
 @dataclass
@@ -77,20 +78,27 @@ class HeavyReport:
 def solve_clamped_slice(spec: ModelSpec, grid2: Grid1D, X: float, A: int):
     """Lowest A eigenpairs of H_cl(X); energies ascending, states h2-normalized.
 
-    Returns ``(energies, states)`` with states of shape (A, n2). The matrix is
-    tridiagonal (3-point stencil plus a diagonal potential), so the dedicated
-    LAPACK tridiagonal solver applies at any n2.
+    Returns ``(energies, states)`` with states of shape (A, n2): the scan's
+    solve for one slice, so it gives the same bits as that slice of ``scan_pes``.
+    """
+    energies, states = _solve_slices(spec, grid2, np.array([X], dtype=float), A)
+    return energies[:, 0], states[:, 0]
+
+
+def _solve_slices(spec: ModelSpec, grid2: Grid1D, X: np.ndarray, A: int):
+    """(energies (A, r), h2-normalized states (A, r, n2)) of H_cl at the r points ``X``.
+
+    H_cl is tridiagonal (3-point stencil plus a diagonal potential), so all r
+    slices go through one batched solve; a failure is a RuntimeError.
     """
     if not 1 <= A <= grid2.n:
         raise ValueError(f"need 1 <= A <= n2, got A = {A}, n2 = {grid2.n}")
     diag, off = kinetic_diagonals(grid2, spec.m)
-    diag += evaluate_potential(spec, X, grid2.points)
-    try:
-        energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, A - 1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-        raise RuntimeError(f"clamped eigensolve failed to converge at slice X = {X}") from exc
-    # LAPACK vectors are unit in the Euclidean norm; rescale to the h2-weighted norm.
-    return energies, (vecs / np.sqrt(grid2.h)).T.copy()
+    states = np.empty((A, len(X), grid2.n))
+    energies = _lowest_eigenpairs(diag + evaluate_potential(spec, X[:, None], grid2.points),
+                                  off, A, states)
+    states /= np.sqrt(grid2.h)  # unit Euclidean vectors to the h2-weighted norm
+    return energies, states
 
 
 def phase_fix(states: np.ndarray, energies: np.ndarray, h2: float):
@@ -145,15 +153,10 @@ def _degenerate_groups(vals: np.ndarray, tol: float):
 def scan_pes(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, threads: int = 1) -> ElectronicField:
     """Solve every clamped slice over grid1 and assemble a phase-continuous field.
 
-    Slices are solved serially in ascending order, then phase-fixed in one
-    sequential sweep. ``threads`` is accepted for compatibility and ignored:
-    a slice pool measured no faster than the serial loop.
+    All slices are solved in one batched call, then phase-fixed in one
+    sequential sweep. ``threads`` is accepted for compatibility and ignored.
     """
-    energies = np.empty((A, grid1.n))
-    states = np.empty((A, grid1.n, grid2.n))
-    for i, X in enumerate(grid1.points):
-        energies[:, i], states[:, i, :] = solve_clamped_slice(spec, grid2, X, A)
-
+    energies, states = _solve_slices(spec, grid2, grid1.points, A)
     states, crossing, degenerate = phase_fix(states, energies, grid2.h)
     return ElectronicField(grid1=grid1, grid2=grid2, n_surfaces=A,
                            energies=energies, states=states,

@@ -7,10 +7,10 @@ quotients (rows carry the heavy kinetic stencil, columns the light one,
 W acts pointwise); the eigensolver works on a sparse assembly of the same
 pieces, built from its five diagonals, by shift-invert Lanczos at every size.
 The shift sits below the Born-Oppenheimer lower bound, the ground energy of
-T1 + diag lambda_0. lambda_0 comes from H's own pieces (one tridiagonal
-solve per heavy point), or from a caller's scan as a hint that a banded
-Cholesky of the slices certifies before it is used, so the shift is verified
-rather than trusted. H - sigma I is then positive definite and factored once,
+T1 + diag lambda_0. lambda_0 comes from H's own pieces (the scan's batched
+solver, one level per heavy point), or from a caller's scan as a hint that
+a banded Cholesky of the slices certifies before it is used, so the shift
+is verified rather than trusted. H - sigma I is then positive definite and factored once,
 unpivoted (``projection`` shares this route). Grid sums run in a fixed order,
 whatever the BLAS thread count.
 """
@@ -24,7 +24,8 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .grid import Grid1D, kinetic_diagonals, second_difference, stencil_diagonals
+from .grid import (Grid1D, _lowest_eigenpairs, fix_signs, kinetic_diagonals, second_difference,
+                   stencil_diagonals)
 from .model import ModelSpec, evaluate_potential
 
 MAX_PRODUCT_DIM = 120_000   # guard against accidentally huge product grids
@@ -106,14 +107,14 @@ def _bo_lower_bound(h: FullHamiltonian, lam0=None) -> float:
     Each clamped slice obeys T2 + W[i] >= lambda_0(x1_i), so
     H >= (T1 + diag lambda_0) (x) I and the ground energy of T1 + lambda_0
     cannot exceed the lowest eigenvalue of H (Brattsev 1965, Epstein 1966).
-    ``lam0`` defaults to H's own pieces, one tridiagonal ground-state solve
-    per heavy point; then one solve on the heavy grid.
+    ``lam0`` defaults to H's own pieces: the ground Ritz values of all heavy
+    points' slices, from the scan's batched solver, so a scan of the same
+    model and grids with one surface gives the same bits. Then one solve on
+    the heavy grid.
     """
     if lam0 is None:
         d2, e2 = kinetic_diagonals(h.grid2, h.mass2)
-        lam0 = np.array([eigh_tridiagonal(d2 + w, e2, eigvals_only=True,
-                                          select="i", select_range=(0, 0))[0]
-                         for w in h.potential_grid])
+        lam0 = _lowest_eigenpairs(d2 + h.potential_grid, e2, 1)[0]
     d1, e1 = kinetic_diagonals(h.grid1, h.mass1)
     return float(eigh_tridiagonal(d1 + lam0, e1, eigvals_only=True,
                                   select="i", select_range=(0, 0))[0])
@@ -223,14 +224,8 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
 
     # Deterministic global signs; rescale unit Euclidean vectors to the
     # doubly-weighted norm.
-    weight = np.sqrt(h.grid1.h * h.grid2.h)
-    states = np.empty((k, h.grid1.n, h.grid2.n))
-    for i in range(k):
-        v = vecs[:, i]
-        j = int(np.argmax(np.abs(v)))
-        if v[j] < 0:
-            v = -v
-        states[i] = v.reshape(h.grid1.n, h.grid2.n) / weight
+    states = fix_signs(vecs.T.copy()).reshape(k, h.grid1.n, h.grid2.n)
+    states /= np.sqrt(h.grid1.h * h.grid2.h)
     return ExactSolution(energies=vals.copy(), states=states, residuals=residuals)
 
 

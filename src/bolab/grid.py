@@ -3,9 +3,11 @@
 Everything downstream (clamped scans, nuclear solves, the product-grid
 Hamiltonian) is assembled from the pieces defined here: a uniform
 discretization of an interval with hard-wall boundaries, the 3-point
-Dirichlet stencil (axis-0 applies and tridiagonal diagonals), and the
-h-weighted norm that makes sampled wavefunctions behave like L2 vectors.
-No other module writes the stencil out.
+Dirichlet stencil (axis-0 applies and tridiagonal diagonals), the
+h-weighted norm that makes sampled wavefunctions behave like L2 vectors,
+the one batched solver for the lowest eigenpairs of many stencil slices,
+and the sign convention of every computed eigenvector. No other module
+writes the stencil out.
 
 Units are hbar = 1 throughout; one coordinate per particle.
 """
@@ -15,8 +17,15 @@ from functools import cached_property
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 MIN_POINTS = 8
+
+_EPS = np.finfo(float).eps
+_CHUNK = 64            # slices per batch: bounds the solver's working memory
+_BRACKET_RTOL = 1e-9   # stebz ABSTOL over the slice norm; three sweeps then converge
+_SWEEPS = 3
+_GATE_ULPS = 16.0      # residual and bracket slack, in eps times the slice norm
 
 
 @dataclass(eq=True)
@@ -108,3 +117,94 @@ def kinetic_diagonals(grid: Grid1D, mass: float) -> tuple[np.ndarray, np.ndarray
     """
     kin = 1.0 / (2.0 * mass * grid.h * grid.h)
     return np.full(grid.n, 2.0 * kin), np.full(grid.n - 1, -kin)
+
+
+def fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Flip each vector along the last axis, in place, so that its first entry of magnitude
+    at least half the largest is positive; returns ``vectors``.
+
+    A largest-|entry| rule lets round-off pick the sign of a mirror-antisymmetric vector,
+    whose two largest entries are mirror points of opposite sign; this rule does not.
+    """
+    mag = np.abs(vectors)
+    lead = np.argmax(mag >= 0.5 * mag.max(axis=-1, keepdims=True), axis=-1)
+    flip = np.take_along_axis(vectors, lead[..., None], axis=-1)[..., 0] < 0
+    vectors[flip] = -vectors[flip]
+    return vectors
+
+
+def _lowest_eigenpairs(d: np.ndarray, e: np.ndarray, A: int, vectors=None) -> np.ndarray:
+    """Lowest A eigenvalues, shape (A, r), of the r symmetric tridiagonals (``d[i]``, ``e``);
+    with ``vectors``, an (A, r, n) array, also their unit eigenvectors, fix_signs applied.
+
+    Per chunk of _CHUNK slices: (1) LAPACK bisection (``stebz``, Sturm counts) brackets each
+    level to _BRACKET_RTOL |T|, |T| = max|d| + 2 max|e|; (2) per level, one ``gttrf`` of the
+    slices shifted to their bracket midpoints, stacked uncoupled by a zero at each boundary,
+    then _SWEEPS ``gttrs`` solves, each followed by Gram-Schmidt (twice) against the lower
+    levels; (3) Rayleigh-Ritz, a batched (A, A) ``eigh`` per slice. So the values are Ritz
+    values, |lambda - lambda_true| <= ||T z - lambda z||. A gate requires each residual to be
+    within _GATE_ULPS eps |T| and each value to lie in its bracket widened by as much. A slice
+    that fails (a close pair that the brackets cannot separate, cut in two by A) is solved
+    once more with brackets to eps |T|; failing again is a RuntimeError, as is a non-finite
+    entry. Each step treats each slice on its own: a slice gets the same bits in any batch.
+    """
+    r, n = d.shape
+    finite = np.isfinite(d).all(axis=1) & bool(np.isfinite(e).all())
+    if not finite.all():
+        raise RuntimeError(f"slice {int(np.argmin(finite))} has a non-finite matrix entry")
+    energies = np.empty((A, r))
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)  # one fixed start for every slice
+    for lo in range(0, r, _CHUNK):
+        rows = slice(lo, min(r, lo + _CHUNK))
+        z = np.empty((A, rows.stop - lo, n)) if vectors is None else vectors[:, rows]
+        failed = _solve_chunk(d[rows], e, start, _BRACKET_RTOL, energies[:, rows], z)
+        if failed.size:
+            again_e, again_z = np.empty((A, failed.size)), np.empty((A, failed.size, n))
+            still = _solve_chunk(d[rows][failed], e, start, _EPS, again_e, again_z)
+            if still.size:
+                raise RuntimeError(f"slice {lo + failed[still[0]]}: tridiagonal eigenpairs miss "
+                                   "the residual gate")
+            energies[:, lo + failed], z[:, failed] = again_e, again_z
+    return energies
+
+
+def _solve_chunk(d, e, start, rtol, energies, z) -> np.ndarray:
+    """One chunk of _lowest_eigenpairs with brackets to ``rtol`` |T|: writes the Ritz values
+    into ``energies`` (A, c) and the vectors into ``z`` (A, c, n); returns the indices of
+    the slices that fail the gate."""
+    A, c, n = z.shape
+    norm = np.abs(d).max(axis=1) + 2.0 * np.abs(e).max()
+    tol = rtol * norm
+    brackets = [dstebz(d[i], e, 2, 0.0, 0.0, 1, A, tol[i], "E") for i in range(c)]
+    if any(info for *_, info in brackets):
+        raise RuntimeError("tridiagonal bisection (stebz) failed")
+    mid = np.stack([w[:A] for _, w, *_ in brackets])
+    off = np.tile(np.append(e, 0.0), c)[:-1]
+    x0 = np.tile(start, c)
+    for a in range(A):
+        dl, piv, du, du2, ipiv, info = dgttrf(off, (d - mid[:, a, None]).ravel(), off)
+        if info > 0:  # a shift on an eigenvalue: a tiny pivot still gives its direction
+            zero = piv == 0.0
+            piv[zero] = np.repeat(_EPS * norm, n)[zero]
+        x = x0
+        for _sweep in range(_SWEEPS):
+            x = dgttrs(dl, piv, du, du2, ipiv, x.ravel())[0].reshape(c, n)
+            for _pass in range(2 if a else 0):
+                x -= np.einsum("brn,rb->rn", z[:a], np.einsum("brn,rn->rb", z[:a], x))
+            x /= np.sqrt(np.einsum("rn,rn->r", x, x))[:, None]
+        z[a] = x
+    # Rayleigh-Ritz, slice-major: y = U^T z, residual U^T (T z) - theta y
+    tz = z * d
+    tz[:, :, :-1] += e * z[:, :, 1:]
+    tz[:, :, 1:] += e * z[:, :, :-1]
+    zs, tzs = z.transpose(1, 0, 2), tz.transpose(1, 0, 2)
+    gram = zs @ tzs.transpose(0, 2, 1)
+    theta, U = np.linalg.eigh(0.5 * (gram + gram.transpose(0, 2, 1)))
+    y = U.transpose(0, 2, 1) @ zs
+    res = U.transpose(0, 2, 1) @ tzs - theta[:, :, None] * y
+    slack = _GATE_ULPS * _EPS * norm
+    good = ((np.sqrt(np.einsum("rbn,rbn->rb", res, res)) <= slack[:, None]).all(axis=1)
+            & (np.abs(theta - mid) <= (tol + slack)[:, None]).all(axis=1))
+    energies[:] = theta.T
+    z[:] = fix_signs(y).transpose(1, 0, 2)
+    return np.flatnonzero(~good)

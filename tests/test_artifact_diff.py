@@ -34,3 +34,18 @@ def test_default_jobs_cover_every_command_and_config():
     assert len(jobs) == 7 * len(configs)
     assert {job[0] for job in jobs} == {"pes", "bo", "exact", "project", "compare", "scaling"}
     assert ("scaling", "scaling_harmonic.json", ("--threads", "2")) in jobs
+
+
+def test_numeric_differences_are_sized():
+    old = {"file:theta.csv": b"x1,theta_0,theta_1\n-0.5,0.25,1.5e-3\n0.5,0.25,-1.5e-3\n"}
+    moved = {"file:theta.csv": b"x1,theta_0,theta_1\n-0.5,0.2500000001,1.5e-3\n0.5,0.25,-1.5e-3\n"}
+    flipped = {"file:theta.csv": b"x1,theta_0,theta_1\n-0.5,0.25,-1.5e-3\n0.5,0.25,1.5e-3\n"}
+    renamed = {"file:theta.csv": b"x1,theta_0,theta_2\n-0.5,0.25,1.5e-3\n0.5,0.25,-1.5e-3\n"}
+    [line] = artifact_diff.diff_outputs("bo", old, moved)
+    assert line.endswith("; numbers only, largest change 1e-10 absolute, 4e-10 relative")
+    [line] = artifact_diff.diff_outputs("bo", old, flipped)
+    assert line.endswith("; numbers only, largest change 0.003 absolute, 2 relative")
+    # a change in the text, here a column name, is not sized
+    [line] = artifact_diff.diff_outputs("bo", old, renamed)
+    assert line == ("bo: file:theta.csv differs, line 1: b'x1,theta_0,theta_1' -> "
+                    "b'x1,theta_0,theta_2'")

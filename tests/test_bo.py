@@ -1,5 +1,7 @@
 """Nuclear solves, product assembly, and adiabatic-quality diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,20 @@ def test_nuclear_wavefunctions_normalized(harmonic2000):
         # deterministic sign: largest-magnitude entry positive
         values = sol.wavefunctions[n]
         assert values[int(np.argmax(np.abs(values)))] > 0
+
+
+def test_nuclear_signs_survive_round_off_on_a_mirror_symmetric_surface(harmonic2000,
+                                                                       harmonic2000_setup):
+    # theta_1 on this surface is mirror-antisymmetric, so its two largest |entries| tie up to
+    # round-off; perturbing the surface by 1e-14 (relative) must not flip its sign
+    spec, _, _ = harmonic2000_setup
+    field = harmonic2000.field
+    ref = solve_nuclear(field, spec, 0, 3).wavefunctions
+    rng = np.random.default_rng(4)
+    for _ in range(12):
+        noisy = field.energies * (1.0 + 1e-14 * rng.standard_normal(field.energies.shape))
+        moved = solve_nuclear(replace(field, energies=noisy), spec, 0, 3).wavefunctions
+        assert np.max(np.abs(moved - ref)) < 1e-6
 
 
 def test_product_state_norm_and_labels(harmonic2000):

@@ -149,6 +149,19 @@ def test_scan_threaded_is_bit_identical():
     assert np.array_equal(serial.states, threaded.states)
 
 
+def test_single_slice_solve_is_the_scans_slice():
+    # one batched solver serves both: a slice gets the same bits alone as inside the scan
+    spec = ModelSpec(M=100.0, m=1.0, potential=SoftCoulomb(z=1.0, s=1.0, k1=1.0))
+    g1 = build_grid(-1.6, 1.6, 70)
+    g2 = build_grid(-10.0, 10.0, 96)
+    field = scan_pes(spec, g1, g2, 3)
+    for i in (0, 33, 64, 69):
+        energies, states = solve_clamped_slice(spec, g2, g1.points[i], 3)
+        assert energies.tobytes() == field.energies[:, i].tobytes()
+        signs = np.sign(np.sum(states * field.states[:, i], axis=1))
+        assert (signs[:, None] * states).tobytes() == field.states[:, i].tobytes()
+
+
 def test_variational_box_monotonicity():
     # enlarging the electronic box can only lower the ground surface, up to
     # the (here tiny) change in discretization error

@@ -425,6 +425,18 @@ def test_non_finite_result_exits_3(tmp_path, monkeypatch, capsys):
     assert "solver failure: cannot serialize non-finite value nan" in capsys.readouterr().err
 
 
+def test_overflowing_potential_exits_3(tmp_path, capsys):
+    # k2 = 1e308 is a finite config value, but W overflows to inf on the grid
+    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
+    cfg["model"]["potential"]["k2"] = 1e308
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    with np.errstate(over="ignore"):
+        assert _run("pes", path, tmp_path / "out") == 3
+    assert "solver failure: slice 0 has a non-finite matrix entry" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "pes.csv").exists()
+
+
 def _run_with_blas_threads(command, config, out, threads):
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}

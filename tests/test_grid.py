@@ -7,9 +7,11 @@ inner products are written out as ``h * vdot(f, g)``.
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
-from bolab.grid import (GridFunction, build_grid, central_difference, kinetic_diagonals,
-                        second_difference, stencil_diagonals)
+from bolab.grid import (_CHUNK, _EPS, _GATE_ULPS, GridFunction, _lowest_eigenpairs, build_grid,
+                        central_difference, fix_signs, kinetic_diagonals, second_difference,
+                        stencil_diagonals)
 
 def test_spacing_from_definition():
     assert build_grid(0.0, 10.0, 99).h == pytest.approx(0.1, abs=1e-15)
@@ -136,3 +138,114 @@ def test_kinetic_diagonals_are_scaled_stencil():
     d, e = stencil_diagonals(g)
     assert np.allclose(diag, -d / (2.0 * mass), rtol=1e-15, atol=0)
     assert np.allclose(off, -e / (2.0 * mass), rtol=1e-15, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the batched lowest-eigenpair solver and the sign convention
+
+
+def _tridiagonal_apply(d, e, v):
+    out = d * v
+    out[..., :-1] += e * v[..., 1:]
+    out[..., 1:] += e * v[..., :-1]
+    return out
+
+
+def _check_eigenpairs(d, e, A, energies, vectors, reference_rtol=1e-12):
+    """Ritz values against LAPACK's, the residual gate, orthonormality and signs, per slice."""
+    norm = np.abs(d).max(axis=1) + 2.0 * np.abs(e).max()
+    for i in range(d.shape[0]):
+        ref = eigh_tridiagonal(d[i], e, eigvals_only=True, select="i", select_range=(0, A - 1))
+        assert np.max(np.abs(energies[:, i] - ref)) <= reference_rtol * norm[i]
+        z = vectors[:, i]
+        res = _tridiagonal_apply(d[i], e, z) - energies[:, i, None] * z
+        assert np.max(np.linalg.norm(res, axis=1)) <= _GATE_ULPS * _EPS * norm[i]
+        assert np.max(np.abs(z @ z.T - np.eye(A))) < 1e-12
+    assert np.array_equal(fix_signs(vectors.copy()), vectors)
+
+
+def test_lowest_eigenpairs_agree_with_lapack_on_random_tridiagonals():
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        r, n = int(rng.integers(1, 5)), int(rng.integers(2, 60))
+        A = int(rng.integers(1, min(n, 6) + 1))
+        d = rng.standard_normal((r, n)) * rng.choice([1e-3, 1.0, 1e3])
+        e = rng.standard_normal(n - 1) * rng.choice([0.0, 1e-8, 1.0, 10.0])
+        vectors = np.empty((A, r, n))
+        energies = _lowest_eigenpairs(d, e, A, vectors)
+        _check_eigenpairs(d, e, A, energies, vectors)
+        assert np.array_equal(_lowest_eigenpairs(d, e, A), energies)
+
+
+def test_lowest_eigenpairs_batch_independent():
+    # a slice gets the same bits alone, in any chunk position, and in a batch of other slices
+    rng = np.random.default_rng(8)
+    r, n, A = 2 * _CHUNK + 9, 48, 3
+    e = np.full(n - 1, -40.0)
+    d = 80.0 * 10.0 ** rng.integers(0, 3, (r, 1)) + 5.0 * rng.standard_normal((r, n))  # norms vary
+    vectors = np.empty((A, r, n))
+    energies = _lowest_eigenpairs(d, e, A, vectors)
+    for i in (0, 1, _CHUNK - 1, _CHUNK, r - 1):
+        alone = np.empty((A, 1, n))
+        assert _lowest_eigenpairs(d[i:i + 1], e, A, alone).tobytes() == energies[:, i:i + 1].tobytes()
+        assert alone.tobytes() == vectors[:, i:i + 1].tobytes()
+    shuffled = rng.permutation(r)
+    again = np.empty((A, r, n))
+    assert np.array_equal(_lowest_eigenpairs(d[shuffled], e, A, again), energies[:, shuffled])
+    assert np.array_equal(again, vectors[:, shuffled])
+
+
+@pytest.mark.parametrize("barrier", [20.0, 80.0, 160.0])
+def test_lowest_eigenpairs_near_degenerate_double_well(barrier):
+    # the lowest pair of a symmetric double well splits by about 2e-2, 2e-5 and 3e-8 here;
+    # A = 2 holds the pair, A = 1 and A = 3 cut a pair in two
+    g = build_grid(-6.0, 6.0, 200)
+    diag, off = kinetic_diagonals(g, 1.0)
+    d = (diag + barrier * (g.points**2 - 1.0) ** 2)[None, :]
+    for A in (1, 2, 3):
+        vectors = np.empty((A, 1, g.n))
+        energies = _lowest_eigenpairs(d, off, A, vectors)
+        _check_eigenpairs(d, off, A, energies, vectors)
+    # the pair's two states are the even and the odd one, up to a mixing angle of at most
+    # about eps |T| over the splitting
+    vectors = np.empty((2, 1, g.n))
+    split = np.diff(_lowest_eigenpairs(d, off, 2, vectors)[:, 0])[0]
+    even, odd = vectors[:, 0]
+    angle = _EPS * np.abs(d).max() / split
+    assert np.max(np.abs(even - even[::-1])) < angle and np.max(np.abs(odd + odd[::-1])) < angle
+
+
+def test_lowest_eigenpairs_reject_non_finite_entries():
+    d = np.full((3, 16), 2.0)
+    d[1, 7] = np.nan
+    with pytest.raises(RuntimeError, match="slice 1 has a non-finite"):
+        _lowest_eigenpairs(d, np.full(15, -1.0), 2)
+    d[1, 7] = 2.0
+    with pytest.raises(RuntimeError, match="slice 0 has a non-finite"):
+        _lowest_eigenpairs(d, np.append(np.full(14, -1.0), np.inf), 2)
+
+
+def test_lowest_eigenpairs_failures_are_runtime_errors(monkeypatch):
+    from bolab import grid
+
+    g = build_grid(-1.0, 1.0, 16)
+    diag, off = kinetic_diagonals(g, 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(grid, "_GATE_ULPS", 0.0)  # no residual passes: both attempts fail
+        with pytest.raises(RuntimeError, match="slice 0: tridiagonal eigenpairs miss the residual"):
+            grid._lowest_eigenpairs(np.stack([diag] * 3), off, 1)
+    real = grid.dstebz
+    monkeypatch.setattr(grid, "dstebz", lambda *args: (*real(*args)[:4], 1))  # LAPACK's info
+    with pytest.raises(RuntimeError, match=r"bisection \(stebz\) failed"):
+        grid._lowest_eigenpairs(np.stack([diag] * 3), off, 1)
+
+
+def test_fix_signs_is_not_decided_by_round_off():
+    x = np.linspace(-3.0, 3.0, 61)
+    odd = x * np.exp(-x * x)  # mirror-antisymmetric: its two largest |entries| tie
+    for v in (odd, -odd, odd * (1.0 + 1e-14 * x), -odd * (1.0 - 1e-14 * x)):
+        fixed = fix_signs(v.copy())
+        assert fixed[0] > 0 > fixed[-1]  # the left lobe is the positive one
+    rows = fix_signs(np.stack([-odd, odd, np.exp(-x * x), -np.exp(-x * x)]))
+    assert np.array_equal(rows[0], rows[1]) and np.array_equal(rows[2], rows[3])
+    assert np.all(rows[2] > 0)

@@ -9,10 +9,13 @@ config (``configs/*.json`` of NEW_TREE), and ``scaling`` on each of them at
 ``OPENBLAS_NUM_THREADS=1``, no ``BO_LAB_*`` variables, and a fresh output
 directory. Every artifact file, the exit code, stderr, and stdout are
 compared; the output directory is masked in stdout and stderr. Prints each
-difference and a summary, and exits 1 if anything differs.
+difference and a summary, and exits 1 if anything differs. When two versions
+of an output differ only in the numbers they spell, the difference line also
+gives the largest absolute and relative change of a number.
 """
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,6 +23,8 @@ from pathlib import Path
 
 COMMANDS = ("pes", "bo", "exact", "project", "compare")
 OUT_MASK = b"<OUT>"
+# a decimal number, not the digits inside a name such as theta_1
+NUMBER = re.compile(rb"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 def default_jobs(configs_dir: Path) -> list:
@@ -56,6 +61,17 @@ def _first_difference(old: bytes, new: bytes) -> str:
     return f"length {len(old)} -> {len(new)} bytes"
 
 
+def _numeric_change(old: bytes, new: bytes) -> str:
+    """``; numbers only, ...`` with the largest changes, if the two differ only in numbers."""
+    if NUMBER.split(old) != NUMBER.split(new):
+        return ""
+    pairs = [(float(a), float(b)) for a, b in zip(NUMBER.findall(old), NUMBER.findall(new))
+             if a != b]
+    absolute = max(abs(a - b) for a, b in pairs)
+    relative = max(abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0 for a, b in pairs)
+    return f"; numbers only, largest change {absolute:.3g} absolute, {relative:.3g} relative"
+
+
 def diff_outputs(label: str, old: dict, new: dict) -> list:
     """One line per output that is missing on one side or differs."""
     lines = []
@@ -63,7 +79,8 @@ def diff_outputs(label: str, old: dict, new: dict) -> list:
         if key not in old or key not in new:
             lines.append(f"{label}: {key} only in {'new' if key not in old else 'old'} tree")
         elif old[key] != new[key]:
-            lines.append(f"{label}: {key} differs, {_first_difference(old[key], new[key])}")
+            lines.append(f"{label}: {key} differs, {_first_difference(old[key], new[key])}"
+                         + _numeric_change(old[key], new[key]))
     return lines
 
 

@@ -105,49 +105,36 @@ def phase_fix(states: np.ndarray, energies: np.ndarray, h2: float):
     """Sign/phase sweep in ascending slice order; idempotent.
 
     Flips each state so its overlap with the same surface one slice earlier
-    has non-negative real part. Near-degenerate groups within a slice are
-    aligned to the previous slice as a subspace (orthogonal Procrustes)
-    instead of surface by surface. Returns (states, crossing_flags,
-    degenerate_flags) without mutating the input.
+    has non-negative real part: between near-degenerate slices a surface's
+    sign is the running product of its neighbour-overlap signs, one einsum
+    and one cumprod per stretch. At a slice with near-degenerate surfaces each
+    such group is aligned to the previous slice as a subspace (orthogonal
+    Procrustes) instead of surface by surface, and the product restarts there.
+    Returns (states, crossing_flags, degenerate_flags) without mutating the input.
     """
     out = states.copy()
     A, n1, _ = out.shape
-    crossing, degenerate = [], []
-    for i in range(1, n1):
-        scale = max(np.max(np.abs(energies[:, i])), 1.0)
-        groups = _degenerate_groups(energies[:, i], DEGENERACY_RTOL * scale)
-        if any(len(g) > 1 for g in groups):
-            degenerate.append(i)
-        for g in groups:
-            if len(g) == 1:
-                a = g[0]
-                ov = h2 * np.vdot(out[a, i - 1], out[a, i])
-                if ov.real < 0.0:
-                    out[a, i] = -out[a, i]
-                if abs(ov) < CROSSING_OVERLAP:
-                    crossing.append((i, a))
-            else:
-                sl = list(g)
-                O = h2 * np.conj(out[sl, i - 1]) @ out[sl, i].T  # O_ab = <prev_a, cur_b>
-                U, _, Vt = np.linalg.svd(O)
-                out[sl, i] = (U @ Vt) @ out[sl, i]
-                for a in sl:
-                    ov = h2 * np.vdot(out[a, i - 1], out[a, i])
-                    if abs(ov) < CROSSING_OVERLAP:
-                        crossing.append((i, a))
-    return out, crossing, degenerate
-
-
-def _degenerate_groups(vals: np.ndarray, tol: float):
-    groups, current = [], [0]
-    for a in range(1, len(vals)):
-        if vals[a] - vals[a - 1] < tol:
-            current.append(a)
-        else:
-            groups.append(current)
-            current = [a]
-    groups.append(current)
-    return groups
+    scale = np.maximum(np.max(np.abs(energies), axis=0), 1.0)
+    close = np.diff(energies, axis=0) < DEGENERACY_RTOL * scale  # (A - 1, n1): a, a + 1 tie at i
+    degenerate = (np.flatnonzero(close[:, 1:].any(axis=0)) + 1).tolist()
+    weak = np.zeros((n1, A), dtype=bool)  # |overlap with the previous slice| < CROSSING_OVERLAP
+    start = 1
+    for stop in [*degenerate, n1]:
+        ov = h2 * np.einsum("aij,aij->ia", out[:, start - 1:stop - 1].conj(), out[:, start:stop])
+        out[:, start:stop] *= np.cumprod(np.where(ov.real < 0.0, -1.0, 1.0), axis=0).T[..., None]
+        weak[start:stop] = np.abs(ov) < CROSSING_OVERLAP
+        if stop < n1:
+            for g in np.split(np.arange(A), np.flatnonzero(~close[:, stop]) + 1):
+                O = h2 * out[g, stop - 1].conj() @ out[g, stop].T  # O_ab = <prev_a, cur_b>
+                if len(g) > 1:
+                    U, _, Vt = np.linalg.svd(O)
+                    out[g, stop] = (U @ Vt) @ out[g, stop]
+                elif O[0, 0].real < 0.0:
+                    out[g, stop] = -out[g, stop]
+            ov = h2 * np.einsum("aj,aj->a", out[:, stop - 1].conj(), out[:, stop])
+            weak[stop] = np.abs(ov) < CROSSING_OVERLAP
+        start = stop + 1
+    return out, [tuple(p) for p in np.argwhere(weak).tolist()], degenerate
 
 
 def scan_pes(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, threads: int = 1) -> ElectronicField:

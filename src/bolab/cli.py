@@ -7,9 +7,9 @@ that it reads; a Run computes each stage once, on first read:
 
     pes       pes.csv                   field
     bo        theta.csv, bo_energies.json  nuclear, product states, H, residuals
-    exact     exact_energies.json       H alone, solved from its own pieces (no scan)
+    exact     exact_energies.json       H alone, solved from its own pieces (no scan), k = exact_k
     project   heff_energies.json        field, H, oracle at k = 1, compression at rank N
-    compare   report.json               every stage; compression at ranks 1..N
+    compare   report.json               every stage, oracle at k = 1; compression at ranks 1..N
     scaling   scaling.csv, report.json  a Run per mass ratio, all sharing one field
 
 --threads (or BO_LAB_THREADS, or "threads" in the config) sets the number of
@@ -174,9 +174,8 @@ def _grid_dict(g: Grid1D) -> dict:
 # --------------------------------------------------------------------------
 # command implementations
 
-def _run(cfg: RunConfig, exact_k: int | None = None) -> Run:
-    return Run(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces, cfg.nuclear_levels,
-               cfg.seed, cfg.exact_k if exact_k is None else exact_k)
+def _run(cfg: RunConfig) -> Run:
+    return Run(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces, cfg.nuclear_levels, cfg.seed)
 
 
 def run_pes(cfg: RunConfig, out: Path) -> list:
@@ -211,7 +210,7 @@ def run_exact(cfg: RunConfig, out: Path) -> list:
 
 
 def run_project(cfg: RunConfig, out: Path) -> list:
-    run = _run(cfg, exact_k=1)
+    run = _run(cfg)
     p = build_projector(run.field, cfg.projector_rank)
     eff = solve_effective(p, run.hamiltonian, min(cfg.exact_k, p.subspace_dim - 1))
     write_json(out / "heff_energies.json", {
@@ -224,7 +223,7 @@ def run_project(cfg: RunConfig, out: Path) -> list:
 def run_compare(cfg: RunConfig, out: Path) -> list:
     report = diagnostics.compare_report(
         cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces, cfg.projector_rank,
-        nuclear_levels=cfg.nuclear_levels, seed=cfg.seed, exact_k=cfg.exact_k)
+        nuclear_levels=cfg.nuclear_levels, seed=cfg.seed)
     write_json(out / "report.json", report.to_dict())
     return ["report.json"]
 

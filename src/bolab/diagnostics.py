@@ -256,13 +256,15 @@ class Run:
     (nuclear_levels levels on surface 0, one on every other surface),
     ``product_states`` (of surface 0), ``hamiltonian``, ``exact_energies`` (the
     oracle's lowest exact_k, shifted from the scan's lambda_0, a hint that
-    ``solve_exact`` certifies), ``residuals`` (one per surface), ``uncertainty`` and
-    ``row``. The row's heavy report spans ``nuclear_region`` of the nuclear ground
-    state, takes its first level spacing (its kinetic expectation at one level) as
-    the kinetic scale, and needs A >= 2. ``heff(ranks)`` and ``report(**fields)``
-    read the stages. The scan holds no M, so a mass sweep passes one field to every
-    row; a field from other grids or with another surface count is a ValueError.
-    Of the oracle only the energies are kept. A Run shares no lock with another.
+    ``solve_exact`` certifies; ``row`` and ``heff`` read only the first, so the
+    reports use the default k = 1), ``residuals`` (one per surface),
+    ``uncertainty`` and ``row``. The row's heavy report spans ``nuclear_region`` of
+    the nuclear ground state, takes its first level spacing (its kinetic
+    expectation at one level) as the kinetic scale, and needs A >= 2.
+    ``heff(ranks)`` and ``report(**fields)`` read the stages. The scan holds no M,
+    so a mass sweep passes one field to every row; a field from other grids or with
+    another surface count is a ValueError. Of the oracle only the energies are
+    kept. A Run shares no lock with another.
     """
 
     def __init__(self, spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
@@ -409,14 +411,14 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
 
 
 def compare_report(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, N: int,
-                   nuclear_levels: int = 2, seed: int = DEFAULT_SEED,
-                   exact_k: int = 1) -> ComparisonReport:
+                   nuclear_levels: int = 2, seed: int = DEFAULT_SEED) -> ComparisonReport:
     """Single-model consolidated report of one Run: oracle comparison, projection
-    drift, heavy-kinetic coupling summary, residuals, uncertainty suite. ``A < 2``
+    drift, heavy-kinetic coupling summary, residuals, uncertainty suite. The report
+    reads the oracle's ground energy alone, so its Run solves for k = 1. ``A < 2``
     is a ValueError naming ``n_surfaces``, before any compute."""
     if A < 2:
         raise ValueError(f"n_surfaces must be at least 2 for the gap report, not {A}")
-    run = Run(spec, grid1, grid2, A, nuclear_levels, seed, exact_k)
+    run = Run(spec, grid1, grid2, A, nuclear_levels, seed)
     # heavy-kinetic couplings between the assembled states of every surface
     mat = t1_coupling_matrix(run.field, run.nuclear, [(a, 0) for a in range(A)], spec.M)
     offdiag_max = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))

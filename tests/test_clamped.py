@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from bolab.clamped import (ElectronicField, heavy_gap_report, phase_fix,
-                           scan_pes, solve_clamped_slice)
+from bolab.clamped import (CROSSING_OVERLAP, DEGENERACY_RTOL, ElectronicField, heavy_gap_report,
+                           phase_fix, scan_pes, solve_clamped_slice)
 from bolab.grid import build_grid
 from bolab.model import HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb
 
@@ -137,6 +137,57 @@ def test_phase_fix_degenerate_subspace_alignment():
     for i in range(1, n1):
         overlap = 0.5 * fixed[:, i - 1] @ fixed[:, i].T
         assert np.allclose(overlap, np.eye(2), atol=1e-12)
+
+
+def _phase_fix_loop(states, energies, h2):
+    # reference: the slice-by-slice, surface-by-surface sweep that phase_fix vectorises
+    out = states.copy()
+    A, n1, _ = out.shape
+    crossing, degenerate = [], []
+    for i in range(1, n1):
+        tol = DEGENERACY_RTOL * max(np.max(np.abs(energies[:, i])), 1.0)
+        groups = [[0]]
+        for a in range(1, A):
+            if energies[a, i] - energies[a - 1, i] < tol:
+                groups[-1].append(a)
+            else:
+                groups.append([a])
+        if any(len(g) > 1 for g in groups):
+            degenerate.append(i)
+        for g in groups:
+            if len(g) == 1:
+                if (h2 * np.vdot(out[g[0], i - 1], out[g[0], i])).real < 0.0:
+                    out[g[0], i] = -out[g[0], i]
+            else:
+                U, _, Vt = np.linalg.svd(h2 * np.conj(out[g, i - 1]) @ out[g, i].T)
+                out[g, i] = (U @ Vt) @ out[g, i]
+            crossing += [(i, a) for a in g
+                         if abs(h2 * np.vdot(out[a, i - 1], out[a, i])) < CROSSING_OVERLAP]
+    return out, crossing, degenerate
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_phase_fix_matches_the_slice_by_slice_sweep(case):
+    # random signs, phases, weak overlaps and degenerate slices (some back to back)
+    rng = np.random.default_rng(case)
+    A, n1, n2 = 1 + case % 4, 2 + 3 * case, 6
+    states = rng.standard_normal((A, 1, n2)) + 0.8 * rng.standard_normal((A, n1, n2))
+    states /= np.sqrt(0.7) * np.linalg.norm(states, axis=2, keepdims=True)  # h2 = 0.7 below
+    states *= rng.choice([-1.0, 1.0], size=(A, n1, 1))
+    if case % 3 == 0:
+        states = states * np.exp(1j * rng.uniform(0.0, 2 * np.pi, (A, n1, 1)))
+    energies = np.sort(rng.standard_normal((A, n1)), axis=0)
+    if A > 1:
+        for i in rng.integers(1, n1, size=1 + case // 2):
+            a = rng.integers(A - 1)
+            energies[a + 1, i] = energies[a, i]
+    before = states.copy()
+    got = phase_fix(states, energies, 0.7)
+    want = _phase_fix_loop(states, energies, 0.7)
+    assert np.array_equal(states, before)
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+    assert want[1] and (A == 1 or want[2])
 
 
 def test_scan_threaded_is_bit_identical():

@@ -129,6 +129,27 @@ def test_run_computes_each_stage_once(counted_calls):
                                       "solve_exact(lam0)": 1, "splu": 1, "cholesky_banded": 1}
 
 
+def test_compare_solves_the_oracle_at_k_1(tmp_path, monkeypatch):
+    # report.json reads only the ground energy, so exact_k (3 here) must not reach the oracle
+    from bolab import diagnostics
+
+    ks = []
+    real = diagnostics.solve_exact
+
+    def spy(h, k, **kwargs):
+        ks.append(k)
+        return real(h, k, **kwargs)
+    monkeypatch.setattr(diagnostics, "solve_exact", spy)
+    cfg = json.loads((CONFIG_DIR / "harmonic_m2000.json").read_text())
+    assert cfg["exact_k"] == 3
+    (tmp_path / "k1.json").write_text(json.dumps({**cfg, "exact_k": 1}))
+    for name, config in [("k3", CONFIG_DIR / "harmonic_m2000.json"), ("k1", tmp_path / "k1.json")]:
+        assert _run("compare", config, tmp_path / name) == 0
+    assert ks == [1, 1]
+    k3, k1 = ((tmp_path / name / "report.json").read_bytes() for name in ("k3", "k1"))
+    assert k3 == k1
+
+
 @pytest.mark.parametrize("heavy", [{}, {"region": "auto", "t1_scale": "auto", "ratio_threshold": 10.0},
                                    {"ratio_threshold": 10}], ids=["absent", "restated", "integer"])
 def test_heavy_block_restating_the_criterion_loads(tmp_path, heavy):

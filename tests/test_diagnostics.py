@@ -317,7 +317,7 @@ def test_equal_mass_control_case():
 
 def test_compare_report_separable(separable_setup):
     spec, g1, g2 = separable_setup
-    report = compare_report(spec, g1, g2, A=2, N=2, nuclear_levels=2, exact_k=2)
+    report = compare_report(spec, g1, g2, A=2, N=2, nuclear_levels=2)
     assert report.rows[0].relative_error <= 1e-8
     assert report.t1_coupling["offdiag_max"] <= 1e-10
     assert report.residuals["surface_0"]["max"] <= 1e-10
@@ -325,7 +325,7 @@ def test_compare_report_separable(separable_setup):
 
 def test_compare_report_harmonic(harmonic2000_setup):
     spec, g1, g2 = harmonic2000_setup
-    report = compare_report(spec, g1, g2, A=3, N=3, nuclear_levels=3, exact_k=3)
+    report = compare_report(spec, g1, g2, A=3, N=3, nuclear_levels=3)
     assert report.heavy.heavy_ok
     assert all(u.bound_ok for u in report.uncertainty)
     assert report.heff["ranks"] == [1, 2, 3]

@@ -10,6 +10,11 @@ potential families:
 
 The harmonic family anchors every quantitative check, because its full
 two-body spectrum follows from a 2x2 normal-mode diagonalization.
+
+Every family is even under the inversion (x1, x2) -> (-x1, -x2), bit for bit,
+since negation commutes with IEEE rounding. ``exact.solve_exact`` relies on
+it: on a box centred at the origin it solves the two parity sectors apart.
+A new family must keep this, or its oracle falls back to the full operator.
 """
 
 import difflib

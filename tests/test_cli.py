@@ -102,7 +102,7 @@ def counted_calls(monkeypatch):
 @pytest.mark.parametrize("command, config, expected", [
     ("pes", "harmonic_m2000", {"scan_pes": 1}),
     ("bo", "harmonic_m2000", {"scan_pes": 1, "assemble_full_hamiltonian": 1}),
-    ("exact", "harmonic_m2000", {"assemble_full_hamiltonian": 1, "solve_exact": 1, "splu": 1}),
+    ("exact", "harmonic_m2000", {"assemble_full_hamiltonian": 1, "solve_exact": 1, "splu": 2}),
     ("project", "harmonic_m2000", {"scan_pes": 1, "assemble_full_hamiltonian": 1,
                                    "solve_exact(lam0)": 1, "splu": 1, "cholesky_banded": 1}),
     ("compare", "harmonic_m2000", {"scan_pes": 1, "assemble_full_hamiltonian": 1,
@@ -112,7 +112,8 @@ def counted_calls(monkeypatch):
 ])
 def test_stage_calls_per_command(tmp_path, counted_calls, command, config, expected):
     # compare solves the compressed spectrum once per rank (N = 3); scaling scans once
-    # and solves each of its 4 rows with the scan's lambda_0, compressing only the last
+    # and solves each of its 4 rows with the scan's lambda_0, compressing only the last;
+    # exact (k = 3) factors both parity sectors, the k = 1 oracles only the even one
     assert _run(command, CONFIG_DIR / f"{config}.json", tmp_path) == 0
     assert Counter(counted_calls) == expected
 

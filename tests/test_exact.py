@@ -1,5 +1,6 @@
 """The exact two-body oracle: assembly, symmetry, spectra, determinism."""
 
+from operator import attrgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,13 +11,15 @@ from scipy.sparse.linalg import eigsh
 
 from bolab import exact
 from bolab.clamped import scan_pes
+from bolab.cli import load_config, main
 from bolab.diagnostics import run_pipeline
 from bolab.exact import (_SHIFT_OFFSET, DEFAULT_SEED, SolverError, _bo_lower_bound,
                          _certify_above, _ncv, assemble_full_hamiltonian, product_inner,
                          rayleigh_quotient, solve_exact)
-from bolab.grid import build_grid, stencil_diagonals
+from bolab.grid import build_grid, fix_signs, stencil_diagonals
 from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
                          analytic_normal_modes)
+from tests.conftest import CONFIG_DIR
 
 
 def _harmonic(M=1.0, m=1.0):
@@ -217,12 +220,12 @@ def sweep_hamiltonians():
 
 def test_shift_invert_takes_one_lanczos_pass_for_every_seed(harmonic2000, factorizations):
     # k=3 is the first k where ARPACK's default basis needed a restart for
-    # some start vectors; every seed should cost the same ncv + 1 solves,
-    # all through the one factorization solve_exact builds.
+    # some start vectors; every seed should cost the same ncv + 1 solves in
+    # each parity sector: 3 levels from the even one, 2 from the odd one.
     solves, own = factorizations
     for seed in range(8):
         solve_exact(harmonic2000.hamiltonian, 3, seed=seed)
-    assert solves == [_ncv(3) + 1] * 8
+    assert solves == [_ncv(3) + 1, _ncv(2) + 1] * 8
     assert own == []
 
 
@@ -367,3 +370,102 @@ def test_pipeline_with_a_field_solves_the_light_problem_once(monkeypatch):
     monkeypatch.setattr(exact, "eigh_tridiagonal", counted)
     run_pipeline(spec, g1, g2, 2, field=field)
     assert calls == [g1.n]
+
+
+# --------------------------------------------------------------------------
+# the two inversion-parity sectors
+
+@pytest.fixture
+def factored_dims(monkeypatch):
+    """The dimension of every matrix ``exact.splu`` factors, in call order."""
+    dims, factorize = [], exact.splu
+
+    def spy(a, *args, **kwargs):
+        dims.append(a.shape[0])
+        return factorize(a, *args, **kwargs)
+    monkeypatch.setattr(exact, "splu", spy)
+    return dims
+
+
+def _soft_coulomb_box(x1_max=1.6, n1=24, n2=40):
+    spec = ModelSpec(M=100.0, m=1.0, potential=SoftCoulomb(1.0, 1.0, 1.0))
+    return assemble_full_hamiltonian(spec, build_grid(-1.6, x1_max, n1), build_grid(-10.0, 10.0, n2))
+
+
+def _eigsh_reference(h, k):
+    """The lowest k energies of the full H from eigsh's own (pivoted LU) factorization."""
+    e_bo = _bo_lower_bound(h)
+    sigma = e_bo - _SHIFT_OFFSET * max(1.0, abs(e_bo))
+    v0 = np.random.default_rng(DEFAULT_SEED).standard_normal(h.dim)
+    return np.sort(eigsh(h.as_sparse, k=k, sigma=sigma, v0=v0, return_eigenvectors=False))
+
+
+def _parities(states):
+    return [round(float(np.sum(s * s[::-1, ::-1]) / np.sum(s * s))) for s in states]
+
+
+@pytest.mark.parametrize("config", ["harmonic_m2000", "harmonic_equal_mass", "soft_coulomb",
+                                    "separable"])
+def test_parity_sectors_match_the_full_operator(factored_dims, config):
+    # the even sector gives k levels and the odd one k - 1; on every family the four
+    # lowest levels alternate in parity, so the merge interleaves the two sectors
+    cfg = load_config(str(CONFIG_DIR / f"{config}.json"))
+    h = assemble_full_hamiltonian(cfg.model, cfg.grid1, cfg.grid2)
+    ref = _eigsh_reference(h, 4)
+    for k in range(1, 5):
+        sol = solve_exact(h, k)
+        assert np.allclose(sol.energies, ref[:k], rtol=1e-12, atol=0.0)
+    assert _parities(sol.states) == [1, -1, 1, -1]
+    assert set(factored_dims) == {h.dim // 2}
+
+
+@pytest.mark.parametrize("potential", [HarmonicCoupling(1.0, 1.0), SoftCoulomb(1.0, 1.0, 1.0),
+                                       SeparableHarmonic(1.0, 2.0)], ids=attrgetter("family"))
+def test_ground_state_equals_its_point_reflection(potential):
+    spec = ModelSpec(M=10.0, m=1.0, potential=potential)
+    h = assemble_full_hamiltonian(spec, build_grid(-2.0, 2.0, 32), build_grid(-6.0, 6.0, 24))
+    psi = solve_exact(h, 1).states[0]
+    assert np.abs(psi - psi[::-1, ::-1]).max() <= 1e-14 * np.abs(psi).max()
+
+
+def test_asymmetric_potential_factors_the_full_operator_once(factored_dims):
+    # off-centre in x1, W breaks the inversion symmetry by far more than round-off: the
+    # oracle takes the one full factorization, and its bits are that route's
+    h = _soft_coulomb_box(x1_max=1.7)
+    w = h.potential_grid
+    assert np.abs(w - w[::-1, ::-1]).max() > 1e-3 * np.abs(w).max()
+    sol = solve_exact(h, 3)
+    assert factored_dims == [h.dim]
+    vals, vecs = exact._lowest_above(_bo_lower_bound(h), h.dim,
+                                     exact._symmetric_factor(h.as_sparse), 3, DEFAULT_SEED)
+    states = fix_signs(vecs.T.copy()).reshape(3, 24, 40) / np.sqrt(h.grid1.h * h.grid2.h)
+    assert sol.energies.tobytes() == vals.tobytes()
+    assert sol.states.tobytes() == states.tobytes()
+
+
+def test_k1_on_a_centred_box_factors_one_half_dimension_matrix(factored_dims):
+    h = _soft_coulomb_box()
+    solve_exact(h, 1)
+    assert factored_dims == [h.dim // 2]
+
+
+@pytest.mark.parametrize("n1, n2, dims", [(25, 41, [25 * 41]), (25, 40, [500, 500])],
+                         ids=["both_odd", "n1_odd"])
+def test_odd_grids_match_the_full_operator(factored_dims, n1, n2, dims):
+    # with n1 and n2 odd the centre point is its own mirror image and the full operator is
+    # factored; with n1 odd alone the mirror line cuts a heavy row and the sectors still apply
+    h = _soft_coulomb_box(n1=n1, n2=n2)
+    sol = solve_exact(h, 2)
+    assert factored_dims == dims
+    assert np.allclose(sol.energies, _eigsh_reference(h, 2), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("config", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_compare_factors_one_half_dimension_matrix_on_every_bundled_config(tmp_path,
+                                                                           factored_dims, config):
+    # every bundled model is even under inversion on a centred box; a config or family that
+    # is not falls back to the full operator and fails here
+    cfg = load_config(str(CONFIG_DIR / f"{config}.json"))
+    assert main(["compare", "--config", str(CONFIG_DIR / f"{config}.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert factored_dims == [cfg.grid1.n * cfg.grid2.n // 2]

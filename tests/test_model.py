@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
+from bolab.model import (_FAMILIES, HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
                          analytic_normal_modes, evaluate_potential, kappa,
                          potential_from_dict, potential_to_dict)
 
@@ -138,3 +140,14 @@ def test_potential_dict_round_trip():
         potential_from_dict({"family": "harmonic_coupling", "k1": 1.0})
     with pytest.raises(ValueError):
         potential_from_dict({})
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(family=st.sampled_from(sorted(_FAMILIES)),
+       params=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3),
+       x1=st.floats(-1e3, 1e3), x2=st.floats(-1e3, 1e3))
+def test_every_family_is_even_under_inversion(family, params, x1, x2):
+    # the oracle's parity sectors rest on W(-x1, -x2) == W(x1, x2), bit for bit
+    cls, fields = _FAMILIES[family]
+    pot = cls(**dict(zip(fields, params)))
+    assert pot.evaluate(-x1, -x2) == pot.evaluate(x1, x2)

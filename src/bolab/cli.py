@@ -36,7 +36,7 @@ from types import SimpleNamespace
 from . import diagnostics
 from .clamped import HEAVY_RATIO_THRESHOLD
 from .diagnostics import SCHEMA_VERSION, Run
-from .exact import DEFAULT_SEED, SolverError, rayleigh_quotient, solve_exact
+from .exact import DEFAULT_SEED, MAX_PRODUCT_DIM, SolverError, rayleigh_quotient, solve_exact
 from .grid import Grid1D, build_grid
 from .model import ModelSpec, potential_from_dict, reject_unknown
 from .projection import build_projector, solve_effective
@@ -156,6 +156,9 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"{name}: {exc}") from exc
     del fields["heavy"]
     cfg = RunConfig(**fields)
+    dim = cfg.grid1.n * cfg.grid2.n
+    if dim > MAX_PRODUCT_DIM:
+        raise ConfigError(f"product dimension {dim} exceeds the desk-scale guard {MAX_PRODUCT_DIM}")
     if cfg.n_surfaces > cfg.grid2.n:
         raise ConfigError("n_surfaces cannot exceed grid2.n")
     if cfg.projector_rank > cfg.n_surfaces:

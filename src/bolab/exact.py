@@ -24,12 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .grid import (_EPS, Grid1D, _lowest_eigenpairs, fix_signs, kinetic_diagonals,
-                   second_difference, stencil_diagonals)
+from .grid import _EPS, Grid1D, _lowest_eigenpairs, fix_signs, kinetic_diagonals, second_difference
 from .model import ModelSpec, evaluate_potential
 
 MAX_PRODUCT_DIM = 120_000   # guard against accidentally huge product grids
@@ -75,12 +73,11 @@ class FullHamiltonian:
     def as_sparse(self) -> sp.csc_matrix:
         """Sparse assembly of the same operator, from its five diagonals; built afresh on every
         access. Row-major index i n2 + j: the main diagonal is (T1 + T2) + W, the light stencil
-        sits at offsets +-1 (zero across heavy rows, dropped) and the heavy one at +-n2."""
+        sits at offsets +-1 (zero across heavy rows, dropped) and the heavy one at +-n2. The
+        kinetic entries are kinetic_diagonals', as in every tridiagonal solve."""
         n1, n2 = self.grid1.n, self.grid2.n
-        # -stencil times the reciprocal of 2 mass, the rounding scipy gives a sparse matrix
-        # divided by a scalar; the oracle's artifacts are pinned to it (kinetic_diagonals differs)
-        (d1, e1), (d2, e2) = ([v * (-1.0 / (2.0 * mass)) for v in stencil_diagonals(g)]
-                              for g, mass in ((self.grid1, self.mass1), (self.grid2, self.mass2)))
+        d1, e1 = kinetic_diagonals(self.grid1, self.mass1)
+        d2, e2 = kinetic_diagonals(self.grid2, self.mass2)
         main = (np.repeat(d1, n2) + np.tile(d2, n1)) + self.potential_grid.ravel()
         light = np.tile(np.append(e2, 0.0), n1)[:-1]
         heavy = np.repeat(e1, n2)
@@ -115,14 +112,14 @@ def _bo_lower_bound(h: FullHamiltonian, lam0=None) -> float:
     ``lam0`` defaults to H's own pieces: the ground Ritz values of all heavy
     points' slices, from the scan's batched solver, so a scan of the same
     model and grids with one surface gives the same bits. Then one solve on
-    the heavy grid.
+    the heavy grid by the same solver: a gated Ritz value, within 16 eps |T|
+    of the true bound, far inside the shift offset.
     """
     if lam0 is None:
         d2, e2 = kinetic_diagonals(h.grid2, h.mass2)
         lam0 = _lowest_eigenpairs(d2 + h.potential_grid, e2, 1)[0]
     d1, e1 = kinetic_diagonals(h.grid1, h.mass1)
-    return float(eigh_tridiagonal(d1 + lam0, e1, eigvals_only=True,
-                                  select="i", select_range=(0, 0))[0])
+    return float(_lowest_eigenpairs((d1 + lam0)[None], e1, 1)[0, 0])
 
 
 def _certify_above(d: np.ndarray, e: np.ndarray, mu: np.ndarray) -> None:

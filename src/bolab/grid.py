@@ -3,9 +3,10 @@
 Everything downstream (clamped scans, nuclear solves, the product-grid
 Hamiltonian) is assembled from the pieces defined here: a uniform
 discretization of an interval with hard-wall boundaries, the 3-point
-Dirichlet stencil (axis-0 applies and tridiagonal diagonals), the
+Dirichlet stencil (axis-0 applies and the kinetic tridiagonal), the
 h-weighted norm that makes sampled wavefunctions behave like L2 vectors,
-the one batched solver for the lowest eigenpairs of many stencil slices,
+the one solver for the lowest eigenpairs of every tridiagonal problem (the
+scan's slices, the nuclear levels and the oracle's Born-Oppenheimer bound),
 and the sign convention of every computed eigenvector. No other module
 writes the stencil out.
 
@@ -46,8 +47,13 @@ class Grid1D:
             raise ValueError("grid bounds must be finite")
         if not self.x_min < self.x_max:
             raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        if not math.isfinite(self.length):
+            raise ValueError(f"grid length x_max - x_min = {self.length} is not finite")
         if self.n < MIN_POINTS:
             raise ValueError(f"n = {self.n} is an unusable discretization (need n >= {MIN_POINTS})")
+        h2 = self.h * self.h
+        if h2 == 0.0 or not math.isfinite(1.0 / h2):
+            raise ValueError(f"grid spacing h = {self.h!r} is too fine: 1/h^2 is not finite")
 
     @property
     def h(self) -> float:
@@ -63,7 +69,8 @@ class Grid1D:
 
 
 def build_grid(x_min: float, x_max: float, n: int) -> Grid1D:
-    """Construct a validated Grid1D (rejects n < 8 and non-finite bounds)."""
+    """Construct a validated Grid1D (rejects n < 8, non-finite bounds or length, and a
+    spacing whose 1/h^2 is not finite)."""
     return Grid1D(float(x_min), float(x_max), int(n))
 
 
@@ -103,17 +110,12 @@ def central_difference(a: np.ndarray, grid: Grid1D) -> np.ndarray:
     return out / (2.0 * grid.h)
 
 
-def stencil_diagonals(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, off-diagonal) of the second_difference stencil, for banded assemblies."""
-    h2 = grid.h * grid.h
-    return np.full(grid.n, -2.0 / h2), np.full(grid.n - 1, 1.0 / h2)
-
-
 def kinetic_diagonals(grid: Grid1D, mass: float) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, off-diagonal) of -(1/2 mass) d^2/dx^2, for tridiagonal solvers.
+    """(diagonal, off-diagonal) of -(1/2 mass) d^2/dx^2: the one kinetic tridiagonal.
 
-    Built as ``2 kin`` and ``-kin`` with ``kin = 1/(2 mass h^2)``; the slice
-    and nuclear spectra are pinned to this rounding.
+    Built as ``2 kin`` and ``-kin`` with ``kin = 1/(2 mass h^2)``. The slice and
+    nuclear spectra, the oracle's sparse H and its shift, and the compressed
+    Hamiltonian are all pinned to this rounding.
     """
     kin = 1.0 / (2.0 * mass * grid.h * grid.h)
     return np.full(grid.n, 2.0 * kin), np.full(grid.n - 1, -kin)

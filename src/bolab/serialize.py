@@ -72,18 +72,8 @@ def write_json(path, obj) -> None:
 
 
 def write_csv(path, header: list, rows) -> None:
-    """CSV with %.17g numeric cells; strings pass through unmodified."""
+    """CSV of a header line and rows of numbers, each cell written by format_float."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, str):
-                    cells.append(cell)
-                elif isinstance(cell, bool):
-                    cells.append("true" if cell else "false")
-                elif isinstance(cell, int):
-                    cells.append(str(cell))
-                else:
-                    cells.append(format_float(float(cell)))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(format_float(cell) for cell in row) + "\n")

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from bolab.bo import (adiabatic_residual, assemble_product_state, solve_nuclear,
                       t1_coupling_matrix)
@@ -73,6 +74,33 @@ def test_nuclear_rejections(harmonic2000, harmonic2000_setup):
         solve_nuclear(field, spec, 0, 0)
     with pytest.raises(ValueError):
         solve_nuclear(field, spec, 0, field.grid1.n + 1)
+
+
+@pytest.mark.parametrize("potential", [HarmonicCoupling(1.0, 1.0), SoftCoulomb(1.0, 1.0, 1.0)],
+                         ids=["harmonic", "soft_coulomb"])
+def test_nuclear_levels_match_lapack_at_every_level(potential):
+    # the gated batched solver at n_levels = n1 against LAPACK's tridiagonal eigensolver
+    spec = ModelSpec(M=100.0, m=1.0, potential=potential)
+    g1 = build_grid(-1.6, 1.6, 24)
+    field = scan_pes(spec, g1, build_grid(-8.0, 8.0, 32), 1)
+    sol = solve_nuclear(field, spec, 0, g1.n)
+    d, e = kinetic_diagonals(g1, spec.M)
+    d = d + field.energies[0]
+    norm = np.abs(d).max() + 2.0 * np.abs(e).max()
+    assert np.max(np.abs(sol.energies - eigh_tridiagonal(d, e, eigvals_only=True))) <= 1e-12 * norm
+    gram = g1.h * sol.wavefunctions @ sol.wavefunctions.T
+    assert np.max(np.abs(gram - np.eye(g1.n))) <= 1e-12
+
+
+def test_nuclear_solve_on_a_non_finite_surface_names_it(harmonic2000, harmonic2000_setup):
+    spec, _, _ = harmonic2000_setup
+    energies = harmonic2000.field.energies.copy()
+    energies[1, 40] = np.nan
+    field = replace(harmonic2000.field, energies=energies)
+    solve_nuclear(field, spec, 0, 1)  # surface 0 is untouched
+    with pytest.raises(RuntimeError, match="^nuclear eigensolve failed on surface 1$") as info:
+        solve_nuclear(field, spec, 1, 1)
+    assert "non-finite" in str(info.value.__cause__)
 
 
 def test_nuclear_wavefunctions_normalized(harmonic2000):

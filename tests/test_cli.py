@@ -459,6 +459,34 @@ def test_overflowing_potential_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out" / "pes.csv").exists()
 
 
+@pytest.mark.parametrize("grid, bounds, message", [
+    ("grid1", (0.0, 1e-300), "grid1: grid spacing h = "),
+    ("grid2", (0.0, 1e-300), "grid2: grid spacing h = "),
+    ("grid1", (-1e308, 1e308), "grid1: grid length x_max - x_min = inf is not finite"),
+], ids=["grid1_spacing", "grid2_spacing", "grid1_length"])
+@pytest.mark.parametrize("command", ["pes", "exact", "compare"])
+def test_degenerate_grid_exits_2(tmp_path, capsys, command, grid, bounds, message):
+    # finite bounds whose spacing squares to zero, or whose length overflows
+    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
+    cfg[grid]["x_min"], cfg[grid]["x_max"] = bounds
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(command, path, tmp_path / "out") == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_desk_scale_guard_is_checked_at_config_load(tmp_path, capsys):
+    # the scan alone would fit, but no command runs past the product-grid guard
+    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
+    cfg["grid1"]["n"] = cfg["grid2"]["n"] = 400
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("pes", path, tmp_path / "out") == 2
+    assert ("config error: product dimension 160000 exceeds the desk-scale guard 120000"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "pes.csv").exists()
+
+
 def _run_with_blas_threads(command, config, out, threads):
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}

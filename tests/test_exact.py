@@ -16,7 +16,7 @@ from bolab.diagnostics import run_pipeline
 from bolab.exact import (_SHIFT_OFFSET, DEFAULT_SEED, SolverError, _bo_lower_bound,
                          _certify_above, _ncv, assemble_full_hamiltonian, product_inner,
                          rayleigh_quotient, solve_exact)
-from bolab.grid import build_grid, fix_signs, stencil_diagonals
+from bolab.grid import build_grid, fix_signs, kinetic_diagonals, second_difference
 from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
                          analytic_normal_modes)
 from tests.conftest import CONFIG_DIR
@@ -67,8 +67,8 @@ def test_constant_potential_separates_into_boxes():
 
 
 def _oned_levels(grid, mass, potential_values, k):
-    d, e = stencil_diagonals(grid)
-    vals = eigh_tridiagonal(-d / (2 * mass) + potential_values, -e / (2 * mass),
+    t = second_difference(np.eye(grid.n), grid) / (-2.0 * mass)
+    vals = eigh_tridiagonal(np.diag(t) + potential_values, np.diag(t, 1),
                             select="i", select_range=(0, k - 1), eigvals_only=True)
     return vals
 
@@ -271,10 +271,10 @@ def test_factorization_failure_is_a_solver_error(harmonic2000, monkeypatch):
 # assembly from the five diagonals, and the certified lambda_0 hint
 
 def _kron_sum(h):
-    """Reference assembly: T1 (x) I + I (x) T2 + diag W, each T scaled by 1/(2 mass) as a matrix."""
+    """Reference assembly: T1 (x) I + I (x) T2 + diag W, each T from kinetic_diagonals."""
     def kinetic(grid, mass):
-        d, e = stencil_diagonals(grid)
-        return sp.diags([e, d, e], [-1, 0, 1]) * (-1.0 / (2.0 * mass))
+        d, e = kinetic_diagonals(grid, mass)
+        return sp.diags([e, d, e], [-1, 0, 1])
     n1, n2 = h.grid1.n, h.grid2.n
     return (sp.kron(kinetic(h.grid1, h.mass1), sp.identity(n2))
             + sp.kron(sp.identity(n1), kinetic(h.grid2, h.mass2))
@@ -361,15 +361,15 @@ def test_pipeline_with_a_field_solves_the_light_problem_once(monkeypatch):
     spec = _harmonic(M=50.0)
     g1, g2 = build_grid(-2.0, 2.0, 32), build_grid(-6.0, 6.0, 32)
     field = scan_pes(spec, g1, g2, 2)
-    calls = []
+    calls, solve = [], exact._lowest_eigenpairs
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[0]))
-        return eigh_tridiagonal(*args, **kwargs)
+    def counted(d, *args, **kwargs):
+        calls.append(d.shape)
+        return solve(d, *args, **kwargs)
 
-    monkeypatch.setattr(exact, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(exact, "_lowest_eigenpairs", counted)
     run_pipeline(spec, g1, g2, 2, field=field)
-    assert calls == [g1.n]
+    assert calls == [(1, g1.n)]
 
 
 # --------------------------------------------------------------------------

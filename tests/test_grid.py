@@ -10,8 +10,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from bolab.grid import (_CHUNK, _EPS, _GATE_ULPS, GridFunction, _lowest_eigenpairs, build_grid,
-                        central_difference, fix_signs, kinetic_diagonals, second_difference,
-                        stencil_diagonals)
+                        central_difference, fix_signs, kinetic_diagonals, second_difference)
 
 def test_spacing_from_definition():
     assert build_grid(0.0, 10.0, 99).h == pytest.approx(0.1, abs=1e-15)
@@ -46,9 +45,9 @@ def test_stencil_structure():
     assert np.all(np.diag(m, 1) == 1.0)
     assert np.all(np.diag(m, -1) == 1.0)
     assert np.count_nonzero(m) == 8 + 2 * 7
-    d, e = stencil_diagonals(g)
-    assert np.array_equal(np.diag(m), d)
-    assert np.array_equal(np.diag(m, 1), e)
+    d, e = kinetic_diagonals(g, 0.5)  # -(1/2 mass) d^2/dx^2 at mass 1/2 is -m
+    assert np.array_equal(-np.diag(m), d)
+    assert np.array_equal(-np.diag(m, 1), e)
 
 
 def test_stencil_exact_symmetry():
@@ -135,7 +134,8 @@ def test_kinetic_diagonals_are_scaled_stencil():
     g = build_grid(-0.65, 0.65, 40)
     mass = 2000.0
     diag, off = kinetic_diagonals(g, mass)
-    d, e = stencil_diagonals(g)
+    m = second_difference(np.eye(g.n), g)
+    d, e = np.diag(m), np.diag(m, 1)
     assert np.allclose(diag, -d / (2.0 * mass), rtol=1e-15, atol=0)
     assert np.allclose(off, -e / (2.0 * mass), rtol=1e-15, atol=0)
 

@@ -37,12 +37,9 @@ def test_dumps_handles_numpy_scalars():
 
 def test_write_csv(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["name", "value", "flag"], [["row", 0.1, True], ["r2", 2, False]])
+    write_csv(path, ["x", "value"], [[0.1, np.float64(-2.5)], [2.0, 1e-300]])
     lines = path.read_text().splitlines()
-    assert lines[0] == "name,value,flag"
-    assert lines[1].startswith("row,0.1000000000000000")
-    assert lines[1].endswith("true")
-    assert lines[2] == "r2,2,false"
+    assert lines == ["x,value", "0.10000000000000001,-2.5", "2,1e-300"]
 
 
 def test_write_json(tmp_path):

@@ -10,17 +10,19 @@ psi_a(x1; x2), sign-fixed along x1 so consecutive slices overlap with
 non-negative real part. Every slice, one or all n1 of them, goes through
 the batched tridiagonal solver of :mod:`bolab.grid`, so lambda_a are Ritz
 values, each within its residual norm of an exact slice eigenvalue and
-inside that eigenvalue's bisection bracket. The surfaces feed the nuclear
-solves in :mod:`bolab.bo`; the gap report quantifies whether adjacent
-surfaces stay far apart compared to the heavy particle's kinetic-energy
-scale over the region where its wavefunction lives.
+inside that eigenvalue's bisection bracket. Where W is even under inversion,
+the slice at -X is the slice at X reflected in x2, so half the slices are
+solved and half mirrored. The surfaces feed the nuclear solves in
+:mod:`bolab.bo`; the gap report quantifies whether adjacent surfaces stay far
+apart compared to the heavy particle's kinetic-energy scale over the region
+where its wavefunction lives.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid1D, GridFunction, _lowest_eigenpairs, kinetic_diagonals
+from .grid import Grid1D, GridFunction, slice_eigenpairs
 from .model import ModelSpec, evaluate_potential
 
 # Adjacent slice eigenvalues closer than this (relative to the local scale)
@@ -79,7 +81,7 @@ def solve_clamped_slice(spec: ModelSpec, grid2: Grid1D, X: float, A: int):
     """Lowest A eigenpairs of H_cl(X); energies ascending, states h2-normalized.
 
     Returns ``(energies, states)`` with states of shape (A, n2): the scan's
-    solve for one slice, so it gives the same bits as that slice of ``scan_pes``.
+    solve for one slice, so it gives the same bits as a slice ``scan_pes`` solves.
     """
     energies, states = _solve_slices(spec, grid2, np.array([X], dtype=float), A)
     return energies[:, 0], states[:, 0]
@@ -89,14 +91,13 @@ def _solve_slices(spec: ModelSpec, grid2: Grid1D, X: np.ndarray, A: int):
     """(energies (A, r), h2-normalized states (A, r, n2)) of H_cl at the r points ``X``.
 
     H_cl is tridiagonal (3-point stencil plus a diagonal potential), so all r
-    slices go through one batched solve; a failure is a RuntimeError.
+    slices go through one ``grid.slice_eigenpairs`` call; a failure is a RuntimeError.
     """
     if not 1 <= A <= grid2.n:
         raise ValueError(f"need 1 <= A <= n2, got A = {A}, n2 = {grid2.n}")
-    diag, off = kinetic_diagonals(grid2, spec.m)
     states = np.empty((A, len(X), grid2.n))
-    energies = _lowest_eigenpairs(diag + evaluate_potential(spec, X[:, None], grid2.points),
-                                  off, A, states)
+    energies = slice_eigenpairs(grid2, spec.m, evaluate_potential(spec, X[:, None], grid2.points),
+                                A, states)
     states /= np.sqrt(grid2.h)  # unit Euclidean vectors to the h2-weighted norm
     return energies, states
 
@@ -138,10 +139,11 @@ def phase_fix(states: np.ndarray, energies: np.ndarray, h2: float):
 
 
 def scan_pes(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, threads: int = 1) -> ElectronicField:
-    """Solve every clamped slice over grid1 and assemble a phase-continuous field.
+    """Solve the clamped slices over grid1 and assemble a phase-continuous field.
 
-    All slices are solved in one batched call, then phase-fixed in one
-    sequential sweep. ``threads`` is accepted for compatibility and ignored.
+    One batched call solves the slices (0 .. ceil(n1/2) - 1, the rest mirrored, if W is
+    inversion-even), then one sequential sweep phase-fixes them. ``threads`` is accepted
+    for compatibility and ignored.
     """
     energies, states = _solve_slices(spec, grid2, grid1.points, A)
     states, crossing, degenerate = phase_fix(states, energies, grid2.h)

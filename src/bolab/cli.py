@@ -43,6 +43,11 @@ from .projection import build_projector, solve_effective
 from .serialize import NonFiniteError, write_csv, write_json
 
 
+# 1/(2 mass h^2) that the tridiagonal solver takes, from 1/this to this: its Sturm counts
+# square that scale, and its pivots on a near-diagonal slice fall to the scale squared
+KINETIC_SCALE_MAX = 1e60
+
+
 class ConfigError(ValueError):
     pass
 
@@ -159,6 +164,15 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     dim = cfg.grid1.n * cfg.grid2.n
     if dim > MAX_PRODUCT_DIM:
         raise ConfigError(f"product dimension {dim} exceeds the desk-scale guard {MAX_PRODUCT_DIM}")
+    masses = [("model.M", cfg.model.M, cfg.grid1), ("model.m", cfg.model.m, cfg.grid2)]
+    masses += [(f"sweep[{i}] * model.m", r * cfg.model.m, cfg.grid1)
+               for i, r in enumerate(cfg.sweep or [])]
+    for name, mass, grid in masses:
+        den = 2.0 * mass * grid.h * grid.h  # 1 / kinetic scale
+        if not 1.0 / KINETIC_SCALE_MAX <= den <= KINETIC_SCALE_MAX:
+            raise ConfigError(f"{name} = {mass!r}: its kinetic scale 1/(2 mass h^2) is "
+                              f"{1.0 / den if den else math.inf:.3g}, outside the solver's range "
+                              f"[{1.0 / KINETIC_SCALE_MAX:g}, {KINETIC_SCALE_MAX:g}]")
     if cfg.n_surfaces > cfg.grid2.n:
         raise ConfigError("n_surfaces cannot exceed grid2.n")
     if cfg.projector_rank > cfg.n_surfaces:

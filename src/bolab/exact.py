@@ -27,14 +27,14 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .grid import _EPS, Grid1D, _lowest_eigenpairs, fix_signs, kinetic_diagonals, second_difference
+from .grid import (Grid1D, _lowest_eigenpairs, fix_signs, inversion_even, kinetic_diagonals,
+                   second_difference, slice_eigenpairs)
 from .model import ModelSpec, evaluate_potential
 
 MAX_PRODUCT_DIM = 120_000   # guard against accidentally huge product grids
 RESIDUAL_RTOL = 1e-9
 DEFAULT_SEED = 20240817
 _SHIFT_OFFSET = 1e-6        # shift-invert sigma sits this far (relative) below the BO bound
-_SYMMETRY_ULPS = 64.0       # |W - W[::-1, ::-1]| allowed by the parity sectors, in eps max|W|
 
 
 class SolverError(RuntimeError):
@@ -109,15 +109,14 @@ def _bo_lower_bound(h: FullHamiltonian, lam0=None) -> float:
     Each clamped slice obeys T2 + W[i] >= lambda_0(x1_i), so
     H >= (T1 + diag lambda_0) (x) I and the ground energy of T1 + lambda_0
     cannot exceed the lowest eigenvalue of H (Brattsev 1965, Epstein 1966).
-    ``lam0`` defaults to H's own pieces: the ground Ritz values of all heavy
-    points' slices, from the scan's batched solver, so a scan of the same
-    model and grids with one surface gives the same bits. Then one solve on
-    the heavy grid by the same solver: a gated Ritz value, within 16 eps |T|
-    of the true bound, far inside the shift offset.
+    ``lam0`` defaults to H's own pieces: the slices' ground Ritz values from the scan's
+    ``grid.slice_eigenpairs`` (half of them mirrored, within 64 eps max|W|, if W is
+    inversion-even), so a one-surface scan of the same model and grids gives the same
+    bits. Then one solve on the heavy grid by the same solver: a gated Ritz value,
+    within 16 eps |T| of the true bound. Both errors are far inside the shift offset.
     """
     if lam0 is None:
-        d2, e2 = kinetic_diagonals(h.grid2, h.mass2)
-        lam0 = _lowest_eigenpairs(d2 + h.potential_grid, e2, 1)[0]
+        lam0 = slice_eigenpairs(h.grid2, h.mass2, h.potential_grid, 1)[0]
     d1, e1 = kinetic_diagonals(h.grid1, h.mass1)
     return float(_lowest_eigenpairs((d1 + lam0)[None], e1, 1)[0, 0])
 
@@ -199,17 +198,17 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
     then positive definite, so its unpivoted symmetric-mode factorization (an LDL^T, built
     once per operator) is ARPACK's OPinv.
 
-    Inversion parity. If W matches W[::-1, ::-1] to _SYMMETRY_ULPS eps max|W| and n1 n2 is
-    even, H_s, H with the point-symmetrised W_s = (W + W[::-1, ::-1]) / 2, commutes with
-    the flat-index reversal J, (i, j) -> (n1-1-i, n2-1-j). With [[A11, A12], [A21, A22]] its
-    halves, H_s splits into the even sector A11 + A12 J and the odd sector A11 - A12 J, each
-    of dimension n1 n2 / 2 and exactly symmetric, and each is factored and solved on its
-    own. H_s - sigma has non-positive off-diagonals on a connected stencil, so by
-    Perron-Frobenius its ground state is even: the even sector gives k levels and the odd
+    Inversion parity. If ``grid.inversion_even(W)``, W matching W[::-1, ::-1] to 64 eps
+    max|W|, and n1 n2 is even, H_s, H with the point-symmetrised W_s = (W + W_r) / 2,
+    commutes with the flat-index reversal J, (i, j) -> (n1-1-i, n2-1-j). With [[A11, A12],
+    [A21, A22]] its halves, H_s splits into the even sector A11 + A12 J and the odd sector
+    A11 - A12 J, each of dimension n1 n2 / 2 and exactly symmetric, and each is factored and
+    solved on its own. H_s - sigma has non-positive off-diagonals on a connected stencil, so
+    by Perron-Frobenius its ground state is even: the even sector gives k levels and the odd
     k - 1 (none at k = 1), merged by energy. The only approximation is Weyl's
-    |E(H) - E(H_s)| <= max|W - W_s| <= 32 eps max|W|, at round-off level and far inside
-    the shift offset, so the same sigma serves both sectors. Any other W, and a grid whose
-    centre point is its own mirror image (n1, n2 both odd), takes the full operator.
+    |E(H) - E(H_s)| <= max|W - W_s| <= 32 eps max|W|, at round-off level and far inside the
+    shift offset, so the same sigma serves both sectors. Any other W, and a grid whose centre
+    point is its own mirror image (n1, n2 both odd), takes the full operator.
     Most supernodes of these grid factors are 1-4 columns wide, so 5-column panels
     factor them in 13-23% less time than SuperLU's default 20, with the same fill.
     Residuals are verified against the unsymmetrised H, ``|H v - E v| <= 1e-9 |E|``, and
@@ -223,7 +222,7 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
     e_bo = _bo_lower_bound(h) if lam0 is None else _certified_bo_bound(h, lam0)
     hs, w, w_r = h.as_sparse, h.potential_grid, h.potential_grid[::-1, ::-1]
     sectors = [(hs, k, 0.0)]  # (operator, levels, parity); parity 0 is the full operator
-    if dim % 2 == 0 and np.abs(w - w_r).max() <= _SYMMETRY_ULPS * _EPS * np.abs(w).max():
+    if dim % 2 == 0 and inversion_even(w):
         hs_s, half = replace(h, potential_grid=0.5 * (w + w_r)).as_sparse, dim // 2
         a11, a12j = hs_s[:half, :half], hs_s[:half, half:][:, ::-1]
         sectors = [(a11 + a12j, k, 1.0), (a11 - a12j, k - 1, -1.0)]

@@ -27,6 +27,7 @@ _CHUNK = 64            # slices per batch: bounds the solver's working memory
 _BRACKET_RTOL = 1e-9   # stebz ABSTOL over the slice norm; three sweeps then converge
 _SWEEPS = 3
 _GATE_ULPS = 16.0      # residual and bracket slack, in eps times the slice norm
+_SYMMETRY_ULPS = 64.0  # |W - W[::-1, ::-1]| allowed of an inversion-even W, in eps max|W|
 
 
 @dataclass(eq=True)
@@ -133,6 +134,30 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     flip = np.take_along_axis(vectors, lead[..., None], axis=-1)[..., 0] < 0
     vectors[flip] = -vectors[flip]
     return vectors
+
+
+def inversion_even(w: np.ndarray) -> bool:
+    """Whether the sampled potential ``w`` (n1, n2) is even under (i, j) -> (n1-1-i, n2-1-j):
+    finite, with |W - W[::-1, ::-1]| <= _SYMMETRY_ULPS eps max|W|."""
+    return bool(np.isfinite(w).all()
+                and np.abs(w - w[::-1, ::-1]).max() <= _SYMMETRY_ULPS * _EPS * np.abs(w).max())
+
+
+def slice_eigenpairs(grid: Grid1D, mass: float, w: np.ndarray, A: int, vectors=None) -> np.ndarray:
+    """``_lowest_eigenpairs`` of the r slices -(1/2 mass) d^2/dx^2 + diag w[i] on ``grid``.
+
+    If ``inversion_even(w)``, slice r-1-i is slice i reversed, so only slices 0 .. ceil(r/2)-1
+    are solved and slice r-1-i gets slice i's values and reversed vectors (signs as reversed):
+    by Weyl's inequality within max|W - W_r| <= 64 eps max|W| of its own slice's eigenvalues,
+    besides the solver's 16 eps |T|. Any other ``w`` has all r slices solved.
+    """
+    d, e = kinetic_diagonals(grid, mass)
+    half = (len(w) + 1) // 2 if inversion_even(w) else len(w)
+    part = None if vectors is None else vectors[:, :half]
+    energies = _lowest_eigenpairs(d + w[:half], e, A, part)
+    if vectors is not None:
+        vectors[:, half:] = part[:, :len(w) - half][:, ::-1, ::-1]
+    return np.hstack([energies, energies[:, :len(w) - half][:, ::-1]])
 
 
 def _lowest_eigenpairs(d: np.ndarray, e: np.ndarray, A: int, vectors=None) -> np.ndarray:

@@ -5,11 +5,23 @@ from pathlib import Path
 import pytest
 
 from bolab import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
-                   assemble_full_hamiltonian, build_grid, scan_pes, solve_exact, solve_nuclear)
+                   assemble_full_hamiltonian, build_grid, grid, scan_pes, solve_exact, solve_nuclear)
 from bolab.diagnostics import kappa_scaling_study, run_pipeline
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
+
+
+@pytest.fixture
+def solved_rows(monkeypatch):
+    """The number of slices each ``grid._lowest_eigenpairs`` call solves, in call order."""
+    rows, solve = [], grid._lowest_eigenpairs
+
+    def spy(d, *args, **kwargs):
+        rows.append(len(d))
+        return solve(d, *args, **kwargs)
+    monkeypatch.setattr(grid, "_lowest_eigenpairs", spy)
+    return rows
 
 
 @pytest.fixture(scope="session")

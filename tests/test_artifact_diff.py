@@ -1,6 +1,8 @@
 """tools/artifact_diff.py: runs a command on two trees and reports what differs."""
 
 import importlib.util
+import subprocess
+from pathlib import Path
 
 from tests.conftest import REPO
 
@@ -49,3 +51,16 @@ def test_numeric_differences_are_sized():
     [line] = artifact_diff.diff_outputs("bo", old, renamed)
     assert line == ("bo: file:theta.csv differs, line 1: b'x1,theta_0,theta_1' -> "
                     "b'x1,theta_0,theta_2'")
+
+
+def test_only_the_new_tree_runs_at_the_given_blas_threads(monkeypatch):
+    seen = []
+
+    def fake_run(args, env, **kwargs):
+        seen.append((Path(env["PYTHONPATH"]).parent.name, env["OPENBLAS_NUM_THREADS"]))
+        return subprocess.CompletedProcess(args, 0, b"", b"")
+    monkeypatch.setattr(artifact_diff.subprocess, "run", fake_run)
+    old, new = REPO / "tools", REPO / "tests"  # any two trees: the run is faked
+    artifact_diff.compare_trees(old, new, [("pes", "separable.json", ())], blas_threads=2)
+    artifact_diff.compare_trees(old, new, [("pes", "separable.json", ())])
+    assert seen == [("tools", "1"), ("tests", "2"), ("tools", "1"), ("tests", "1")]

@@ -5,8 +5,9 @@ import pytest
 
 from bolab.clamped import (CROSSING_OVERLAP, DEGENERACY_RTOL, ElectronicField, heavy_gap_report,
                            phase_fix, scan_pes, solve_clamped_slice)
-from bolab.grid import build_grid
-from bolab.model import HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb
+from bolab.grid import _EPS, _lowest_eigenpairs, build_grid, inversion_even, kinetic_diagonals
+from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
+                         evaluate_potential)
 
 # 1-D ground energy of -(1/2) d^2/du^2 - 1/sqrt(u^2 + 1), from independent
 # fine-grid diagonalization (box +-25, n up to 8191, double Richardson;
@@ -201,13 +202,24 @@ def test_scan_threaded_is_bit_identical():
 
 
 def test_single_slice_solve_is_the_scans_slice():
-    # one batched solver serves both: a slice gets the same bits alone as inside the scan
+    # one batched solver serves both: a solved slice gets the same bits alone as inside the
+    # scan, and a mirrored slice i those of the solve at n1-1-i, reversed in x2
     spec = ModelSpec(M=100.0, m=1.0, potential=SoftCoulomb(z=1.0, s=1.0, k1=1.0))
     g1 = build_grid(-1.6, 1.6, 70)
     g2 = build_grid(-10.0, 10.0, 96)
     field = scan_pes(spec, g1, g2, 3)
+    w = evaluate_potential(spec, g1.points[:, None], g2.points[None, :])
+    d, e = kinetic_diagonals(g2, spec.m)
+    weyl = (16.0 * _EPS * (np.abs(d + w).max() + 2.0 * np.abs(e).max())
+            + np.abs(w - w[::-1, ::-1]).max())
     for i in (0, 33, 64, 69):
-        energies, states = solve_clamped_slice(spec, g2, g1.points[i], 3)
+        mirrored = i >= (g1.n + 1) // 2
+        source = g1.n - 1 - i if mirrored else i
+        energies, states = solve_clamped_slice(spec, g2, g1.points[source], 3)
+        if mirrored:
+            states = states[:, ::-1]
+            own = solve_clamped_slice(spec, g2, g1.points[i], 3)[0]
+            assert np.abs(own - field.energies[:, i]).max() <= weyl
         assert energies.tobytes() == field.energies[:, i].tobytes()
         signs = np.sign(np.sum(states * field.states[:, i], axis=1))
         assert (signs[:, None] * states).tobytes() == field.states[:, i].tobytes()
@@ -220,6 +232,49 @@ def test_variational_box_monotonicity():
     small = solve_clamped_slice(spec, build_grid(-6.0, 6.0, 120), 0.0, 1)[0][0]
     large = solve_clamped_slice(spec, build_grid(-8.0, 8.0, 160), 0.0, 1)[0][0]
     assert large <= small + 1e-6
+
+
+@pytest.mark.parametrize("n1", [70, 71])
+def test_centred_scan_solves_half_the_slices(solved_rows, n1):
+    spec = ModelSpec(M=100.0, m=1.0, potential=SoftCoulomb(z=1.0, s=1.0, k1=1.0))
+    scan_pes(spec, build_grid(-1.6, 1.6, n1), build_grid(-10.0, 10.0, 96), 3)
+    assert solved_rows == [(n1 + 1) // 2]
+
+
+def test_off_centre_scan_solves_every_slice_as_before(solved_rows):
+    # an off-centre box is not inversion-even: every slice is solved, in one call, as the
+    # scan did before it mirrored
+    spec = ModelSpec(M=100.0, m=1.0, potential=SoftCoulomb(z=1.0, s=1.0, k1=1.0))
+    g1, g2 = build_grid(-1.6, 1.2, 70), build_grid(-10.0, 10.0, 96)
+    field = scan_pes(spec, g1, g2, 3)
+    assert solved_rows == [g1.n]
+    d, e = kinetic_diagonals(g2, spec.m)
+    states = np.empty((3, g1.n, g2.n))
+    energies = _lowest_eigenpairs(
+        d + evaluate_potential(spec, g1.points[:, None], g2.points), e, 3, states)
+    states, _, _ = phase_fix(states / np.sqrt(g2.h), energies, g2.h)
+    assert field.energies.tobytes() == energies.tobytes()
+    assert field.states.tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize("potential, n1", [
+    (HarmonicCoupling(1.0, 1.0), 64), (SoftCoulomb(1.0, 1.0, 1.0), 71),
+    (SeparableHarmonic(1.0, 2.0), 48),
+], ids=["harmonic", "soft_coulomb", "separable"])
+def test_mirrored_slices_match_their_own_solves(potential, n1):
+    spec = ModelSpec(M=100.0, m=1.0, potential=potential)
+    g1, g2 = build_grid(-1.5, 1.5, n1), build_grid(-7.0, 7.0, 80)
+    field = scan_pes(spec, g1, g2, 3)
+    w = evaluate_potential(spec, g1.points[:, None], g2.points[None, :])
+    assert inversion_even(w)
+    d, e = kinetic_diagonals(g2, spec.m)
+    bound = (16.0 * _EPS * (np.abs(d + w).max() + 2.0 * np.abs(e).max())
+             + np.abs(w - w[::-1, ::-1]).max())
+    for i in range((n1 + 1) // 2, n1):
+        energies, states = solve_clamped_slice(spec, g2, g1.points[i], 3)
+        assert np.abs(energies - field.energies[:, i]).max() <= bound
+        signs = np.sign(np.sum(states * field.states[:, i], axis=1))[:, None]
+        assert np.abs(signs * states - field.states[:, i]).max() <= 1e-13
 
 
 def test_separable_slices_identical():

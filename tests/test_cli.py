@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from operator import attrgetter
 
@@ -485,6 +486,51 @@ def test_desk_scale_guard_is_checked_at_config_load(tmp_path, capsys):
     assert ("config error: product dimension 160000 exceeds the desk-scale guard 120000"
             in capsys.readouterr().err)
     assert not (tmp_path / "out" / "pes.csv").exists()
+
+
+def _with_masses(tmp_path, config, **masses):
+    cfg = json.loads((CONFIG_DIR / config).read_text())
+    cfg["model"].update(masses)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("mass", [1e-300, 1e300])
+def test_extreme_mass_exits_2_naming_it(tmp_path, capsys, mass):
+    # the slice solver's bisection overflows at 1e-300, and its iterates at 1e300
+    path = _with_masses(tmp_path, "separable.json", M=mass, m=mass)
+    assert _run("pes", path, tmp_path / "out") == 2
+    assert f"config error: model.M = {mass!r}: its kinetic scale" in capsys.readouterr().err
+    path = _with_masses(tmp_path, "separable.json", m=mass)
+    assert _run("pes", path, tmp_path / "out") == 2
+    assert f"config error: model.m = {mass!r}: its kinetic scale" in capsys.readouterr().err
+
+
+def test_mass_sweep_ends_in_a_result_or_a_config_error(tmp_path):
+    # every power of ten is either rejected at load or scanned, with no warning leaking
+    codes = Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-300, 301):
+            path = _with_masses(tmp_path, "separable.json", M=10.0 ** k, m=10.0 ** k)
+            codes[_run("pes", path, tmp_path / "out")] += 1
+    assert set(codes) == {0, 2} and codes[0] > 100
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_bundled_configs_load_across_the_benchmark_masses(tmp_path, config):
+    for M in (1.0, 2000.0):
+        load_config(_with_masses(tmp_path, config, M=M, m=1.0))
+
+
+def test_sweep_mass_outside_the_solver_range_exits_2(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "scaling_harmonic.json").read_text())
+    cfg["sweep"] = [10.0, 1e300]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("scaling", path, tmp_path / "out") == 2
+    assert "config error: sweep[1] * model.m = 1e+300: its kinetic scale" in capsys.readouterr().err
 
 
 def _run_with_blas_threads(command, config, out, threads):

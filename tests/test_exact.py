@@ -179,6 +179,12 @@ def test_bo_lower_bound_is_the_pipeline_bo_energy(harmonic2000, separable_run,
         assert _bo_lower_bound(h) == pytest.approx(bo_energy, rel=1e-12)
 
 
+def test_bo_lower_bound_solves_half_the_slices_of_a_centred_box(solved_rows, harmonic2000):
+    # lambda_0 from H's own pieces: one call on ceil(n1/2) slices, the rest mirrored
+    _bo_lower_bound(harmonic2000.hamiltonian)
+    assert solved_rows == [(harmonic2000.hamiltonian.grid1.n + 1) // 2]
+
+
 def test_bo_lower_bound_is_exact_for_a_separable_potential(separable_run):
     # the tightest case: the shift sits only 1e-6 |E| below E_0
     e0 = separable_run.exact_energies[0]

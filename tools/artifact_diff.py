@@ -1,19 +1,23 @@
 """Compare the CLI outputs of two source trees byte for byte.
 
-    python tools/artifact_diff.py OLD_TREE NEW_TREE
+    python tools/artifact_diff.py OLD_TREE NEW_TREE [--blas-threads N]
 
 Runs ``pes``, ``bo``, ``exact``, ``project`` and ``compare`` on every bundled
 config (``configs/*.json`` of NEW_TREE), and ``scaling`` on each of them at
 ``--threads 1`` and ``--threads 2``. Each tree runs its own ``src/`` and
-``configs/`` in a fresh interpreter with ``PYTHONPATH=<tree>/src`` and
-``OPENBLAS_NUM_THREADS=1``, no ``BO_LAB_*`` variables, and a fresh output
-directory. Every artifact file, the exit code, stderr, and stdout are
-compared; the output directory is masked in stdout and stderr. Prints each
-difference and a summary, and exits 1 if anything differs. When two versions
-of an output differ only in the numbers they spell, the difference line also
-gives the largest absolute and relative change of a number.
+``configs/`` in a fresh interpreter with ``PYTHONPATH=<tree>/src``, no
+``BO_LAB_*`` variables, and a fresh output directory. OLD_TREE runs at
+``OPENBLAS_NUM_THREADS=1`` and NEW_TREE at ``--blas-threads`` (default 1), so
+``artifact_diff.py T T --blas-threads 2`` checks that tree T writes the same
+bytes at one and two BLAS threads. Every artifact file, the exit code,
+stderr, and stdout are compared; the output directory is masked in stdout and
+stderr. Prints each difference and a summary, and exits 1 if anything
+differs. When two versions of an output differ only in the numbers they
+spell, the difference line also gives the largest absolute and relative
+change of a number.
 """
 
+import argparse
 import os
 import re
 import subprocess
@@ -34,11 +38,11 @@ def default_jobs(configs_dir: Path) -> list:
             + [("scaling", name, ("--threads", str(t))) for name in names for t in (1, 2)])
 
 
-def run_job(tree: Path, command: str, config: str, extra=()) -> dict:
+def run_job(tree: Path, command: str, config: str, extra=(), blas_threads: int = 1) -> dict:
     """Outputs of one CLI run on ``tree``: ``exit``, ``stdout``, ``stderr`` and ``file:<name>``."""
     tree = Path(tree).resolve()
     env = {k: v for k, v in os.environ.items() if not k.startswith("BO_LAB_")}
-    env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS=str(blas_threads))
     with tempfile.TemporaryDirectory() as work:
         out = Path(work) / "out"
         done = subprocess.run([sys.executable, "-m", "bolab.cli", command, "--config",
@@ -84,25 +88,29 @@ def diff_outputs(label: str, old: dict, new: dict) -> list:
     return lines
 
 
-def compare_trees(old_tree: Path, new_tree: Path, jobs) -> tuple[int, list]:
-    """(number of outputs compared, difference lines) over ``jobs``."""
+def compare_trees(old_tree: Path, new_tree: Path, jobs, blas_threads: int = 1) -> tuple[int, list]:
+    """(number of outputs compared, difference lines) over ``jobs``, ``new_tree`` at
+    ``blas_threads`` BLAS threads."""
     count, lines = 0, []
     for command, config, extra in jobs:
         old = run_job(old_tree, command, config, extra)
-        new = run_job(new_tree, command, config, extra)
+        new = run_job(new_tree, command, config, extra, blas_threads)
         count += len(old.keys() | new.keys())
         lines += diff_outputs(" ".join([command, config, *extra]), old, new)
     return count, lines
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        print(__doc__)
-        return 2
-    old_tree, new_tree = (Path(a) for a in argv)
-    jobs = default_jobs(new_tree / "configs")
-    count, lines = compare_trees(old_tree, new_tree, jobs)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("old_tree", type=Path)
+    parser.add_argument("new_tree", type=Path)
+    parser.add_argument("--blas-threads", type=int, default=1, help="NEW_TREE's BLAS threads")
+    args = parser.parse_args(argv)
+    if args.blas_threads < 1:
+        parser.error("--blas-threads must be at least 1")
+    jobs = default_jobs(args.new_tree / "configs")
+    count, lines = compare_trees(args.old_tree, args.new_tree, jobs, args.blas_threads)
     for line in lines:
         print(line)
     print(f"{count} outputs of {len(jobs)} runs compared: "

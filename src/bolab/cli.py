@@ -17,9 +17,9 @@ sweep workers of ``scaling``; other commands ignore it. A config key that no
 level of the schema lists exits 2, and a "heavy" block may only restate the
 fixed heavy-regime criterion (region and t1_scale "auto", ratio_threshold 10).
 
-Exit codes: 0 success, 1 usage, 2 config error (unknown field, bad or
-non-finite config value, field combination, unwritable output), 3 numerical
-failure (no convergence, non-finite result). Flags override BO_LAB_*
+Exit codes, by when a failure happens: 0 success, 1 usage, 2 config error (every
+input fault, found by ``load_config`` or ``main`` before any compute, or a file that
+cannot be read or written), 3 numerical failure (anything later). Flags override BO_LAB_*
 environment variables, which override config-file values; all three go
 through the same conversion and checks (threads >= 1, seed >= 0). Identical
 configs give byte-identical files for any --threads.
@@ -36,11 +36,11 @@ from types import SimpleNamespace
 from . import diagnostics
 from .clamped import HEAVY_RATIO_THRESHOLD
 from .diagnostics import SCHEMA_VERSION, Run
-from .exact import DEFAULT_SEED, MAX_PRODUCT_DIM, SolverError, rayleigh_quotient, solve_exact
+from .exact import DEFAULT_SEED, MAX_PRODUCT_DIM, rayleigh_quotient, solve_exact
 from .grid import Grid1D, build_grid
 from .model import ModelSpec, potential_from_dict, reject_unknown
 from .projection import build_projector, solve_effective
-from .serialize import NonFiniteError, write_csv, write_json
+from .serialize import write_csv, write_json
 
 
 # 1/(2 mass h^2) that the tridiagonal solver takes, from 1/this to this: its Sturm counts
@@ -246,8 +246,6 @@ def run_compare(cfg: RunConfig, out: Path) -> list:
 
 
 def run_scaling(cfg: RunConfig, out: Path) -> list:
-    if not cfg.sweep:
-        raise ConfigError("scaling requires a non-empty 'sweep' list of mass ratios")
     report = diagnostics.kappa_scaling_study(
         cfg.model, cfg.sweep, cfg.grid1, cfg.grid2, cfg.n_surfaces,
         N=cfg.projector_rank, nuclear_levels=cfg.nuclear_levels, threads=cfg.threads,
@@ -296,21 +294,19 @@ def main(argv=None) -> int:
     overrides.update({key: flag for key, (_, flag) in sources.items() if flag is not None})
     try:
         cfg = load_config(args.config, overrides)
+        if command == "scaling" and not cfg.sweep:
+            raise ConfigError("scaling requires a non-empty 'sweep' list of mass ratios")
+        if command in ("compare", "scaling") and cfg.n_surfaces < 2:
+            raise ConfigError(f"n_surfaces must be at least 2 for the gap report, not {cfg.n_surfaces}")
         out = cfg.output_dir
         out.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, ValueError, OSError) as exc:
+        files = COMMANDS[command](cfg, out)
+    except (ConfigError, OSError) as exc:  # the config, or a file the run cannot read or write
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        files = COMMANDS[command](cfg, out)
-    except (SolverError, RuntimeError, NonFiniteError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:  # anything a valid config meets
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        # ConfigError, precondition violations from bad field combinations, unwritable artifacts
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     for name in files:
         print(out / name)
     return 0

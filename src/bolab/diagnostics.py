@@ -278,7 +278,10 @@ class Run:
             self.field = field
 
     def __getattr__(self, name: str):
-        # reached only while a stage is unset: compute it with ``_<name>`` and keep it
+        # reached only while a stage is unset: compute it with ``_<name>`` and keep it.
+        # Not functools.cached_property: through Python 3.11 its __get__ takes a lock that
+        # belongs to the descriptor, one lock for every Run, so each row of the sweep pool
+        # would wait on the others' ``row``.
         if not hasattr(Run, "_" + name):
             raise AttributeError(f"Run has no stage {name!r}")
         setattr(self, name, getattr(self, "_" + name)())
@@ -366,10 +369,10 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
     ``n_surfaces``. The ratios must be strictly ascending (a repeat leaves the
     slope undefined); a ratio that gives no valid row model is a ValueError
     naming it. Both come before the scan. The scan holds no M, so it runs
-    once, before the rows, and its failure names no mass ratio. The
-    compressed-spectrum summary at rank N is attached for the final (largest)
-    ratio. Rows run on ``threads`` workers and are collected in ratio order,
-    so the report is identical for any worker count.
+    once, before the rows, and its failure names no mass ratio; a row's failure
+    is a RuntimeError naming its ratio. The compressed-spectrum summary at rank
+    N is attached for the final (largest) ratio. Rows run on ``threads``
+    workers, collected in ratio order: the report is the same for any count.
     """
     if A < 2:
         raise ValueError(f"n_surfaces must be at least 2 for the gap report, not {A}")
@@ -396,8 +399,7 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
             try:
                 results.append(future.result())
             except Exception as exc:
-                wrap = ValueError if isinstance(exc, ValueError) else RuntimeError
-                raise wrap(f"pipeline failed at mass ratio {ratio}: {exc}") from exc
+                raise RuntimeError(f"pipeline failed at mass ratio {ratio}: {exc}") from exc
 
     rows = [r.row for r in results]
     slope = None

@@ -38,11 +38,7 @@ _SHIFT_OFFSET = 1e-6        # shift-invert sigma sits this far (relative) below 
 
 
 class SolverError(RuntimeError):
-    """Eigensolver did not reach the residual contract."""
-
-    def __init__(self, message: str, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
+    """An eigensolve failed: its factorization, its Lanczos run or the residual contract."""
 
 
 @dataclass
@@ -174,15 +170,20 @@ def _lowest_above(e_bo: float, dim: int, factor, k: int, seed: int, vectors: boo
     # start vectors; _ncv(k) takes one pass for every seed on the bundled
     # configs (k = 3..6), and at k = 1 7 vectors take 8 solves where 20 took
     # 21. ARPACK needs k < ncv <= dim.
+    # ARPACK accepts a Ritz value theta once its error bound is at most tol max(eps^(2/3),
+    # |theta|) (dsconv), an absolute test that stops short of the residual contract where
+    # theta = 1/(E - sigma) is tiny; so it solves H/s, s a power of two (exact) near |sigma|.
+    s = 2.0 ** round(math.log2(max(1.0, abs(sigma))))
     try:
-        opinv = LinearOperator((dim, dim), matvec=factor(sigma), dtype=float)
-        out = eigsh(opinv, k=k, sigma=sigma, which="LM", v0=v0, ncv=min(_ncv(k), dim),
+        solve = factor(sigma)
+        opinv = LinearOperator((dim, dim), matvec=lambda x: s * solve(x), dtype=float)
+        out = eigsh(opinv, k=k, sigma=sigma / s, which="LM", v0=v0, ncv=min(_ncv(k), dim),
                     OPinv=opinv, return_eigenvectors=vectors)
     except Exception as exc:
         raise SolverError(f"iterative eigensolve failed: {exc}") from exc
     vals, vecs = out if vectors else (out, None)
     order = np.argsort(vals)
-    return (vals[order], vecs[:, order]) if vectors else vals[order]
+    return (s * vals[order], vecs[:, order]) if vectors else s * vals[order]
 
 
 def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
@@ -243,7 +244,7 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
     if np.any(residuals > bounds):
         raise SolverError(
             f"eigensolver residuals {residuals.tolist()} exceed the contract "
-            f"{RESIDUAL_RTOL} * |E|", residuals=residuals)
+            f"{RESIDUAL_RTOL} * |E|")
 
     # Deterministic global signs; rescale unit Euclidean vectors to the
     # doubly-weighted norm.

@@ -7,13 +7,9 @@ across runs and round-trip exactly through a JSON parse.
 import math
 
 
-class NonFiniteError(ValueError, ArithmeticError):
-    """A computed number is NaN or infinite: a numerical failure, not bad input."""
-
-
 def format_float(x: float) -> str:
     if not math.isfinite(x):
-        raise NonFiniteError(f"cannot serialize non-finite value {x}")
+        raise ValueError(f"cannot serialize non-finite value {x}")
     return format(float(x), ".17g")
 
 

@@ -433,6 +433,31 @@ def test_compressed_factorization_failure_exits_3(tmp_path, monkeypatch, capsys)
     assert err.startswith("solver failure:") and "not positive definite" in err
 
 
+def test_slice_kernel_linalg_error_exits_3(tmp_path, monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError; raised after load, it is still numerical
+    from bolab import grid
+
+    def not_converged(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(grid, "_solve_chunk", not_converged)
+    assert _run("pes", CONFIG_DIR / "separable.json", tmp_path) == 3
+    assert capsys.readouterr().err == "solver failure: Eigenvalues did not converge\n"
+
+
+def test_sweep_row_value_error_exits_3(tmp_path, monkeypatch, capsys):
+    # a row's failure is a RuntimeError naming its ratio, whatever the row raised
+    from bolab import diagnostics
+
+    def no_gap(*args, **kwargs):
+        raise ValueError("t1_scale must be positive")
+
+    monkeypatch.setattr(diagnostics, "heavy_gap_report", no_gap)
+    assert _run("scaling", CONFIG_DIR / "scaling_harmonic.json", tmp_path) == 3
+    assert capsys.readouterr().err.startswith("solver failure: pipeline failed at mass ratio 10.0: "
+                                              "t1_scale must be positive")
+
+
 def test_non_finite_result_exits_3(tmp_path, monkeypatch, capsys):
     from bolab import cli
 
@@ -516,6 +541,22 @@ def test_mass_sweep_ends_in_a_result_or_a_config_error(tmp_path):
             path = _with_masses(tmp_path, "separable.json", M=10.0 ** k, m=10.0 ** k)
             codes[_run("pes", path, tmp_path / "out")] += 1
     assert set(codes) == {0, 2} and codes[0] > 100
+
+
+def test_exact_across_the_accepted_masses_never_exits_3(tmp_path):
+    # ARPACK's convergence test turns absolute where 1/(E - sigma) is tiny; the oracle
+    # solves a scaled operator, so a light or heavy pair the guard accepts converges
+    codes = Counter(_run("exact", _with_masses(tmp_path, "separable.json", M=10.0 ** k, m=10.0 ** k),
+                         tmp_path / "out") for k in range(-56, 61, 4))
+    assert 3 not in codes and codes[0] > 0
+
+
+@pytest.mark.parametrize("mass", [1e28, 1e40, 1e52, 1e60])
+def test_compare_heavy_scale_underflow_exits_3(tmp_path, capsys, mass):
+    # the config is valid; the heavy level spacing, compare's kinetic scale, vanishes in round-off
+    path = _with_masses(tmp_path, "separable.json", M=mass, m=mass)
+    assert _run("compare", path, tmp_path / "out") == 3
+    assert capsys.readouterr().err.startswith("solver failure: ")
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))

@@ -282,7 +282,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--threads", default=None,
                         help="sweep workers of 'scaling'; other commands ignore it")
-    parser.add_argument("--seed", default=None, help="eigensolver start-vector seed")
+    parser.add_argument("--seed", default=None,
+                        help="exact oracle's start-vector seed (the compressed solve's is fixed)")
     try:
         args = parser.parse_args(argv[1:])
     except SystemExit:

@@ -1,9 +1,11 @@
 """Deterministic text emission: 17-significant-digit floats, fixed key order.
 
 Every float is written with %.17g so that output files are byte-identical
-across runs and round-trip exactly through a JSON parse.
+across runs and round-trip exactly through a JSON parse. Every other value is
+spelled by the standard library's ``json``: ASCII-only, with RFC 8259 escapes.
 """
 
+import json
 import math
 
 
@@ -15,51 +17,22 @@ def format_float(x: float) -> str:
 
 def dumps(obj) -> str:
     """JSON text with deterministic float formatting, insertion key order, two-space indent."""
-    lines: list[str] = []
-    _write(obj, lines, 0)
-    return "".join(lines) + "\n"
+    return _encode(obj, "") + "\n"
 
 
-def _write(obj, out: list, level: int) -> None:
-    pad = "  " * (level + 1)
-    close_pad = "  " * level
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(f'{pad}"{key}": ')
-            _write(value, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(close_pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(seq):
-            out.append(pad)
-            _write(value, out, level + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(close_pad + "]")
-    else:
-        # numpy scalars and similar
-        if hasattr(obj, "item"):
-            _write(obj.item(), out, level)
-        else:
-            raise TypeError(f"cannot serialize {type(obj)!r}")
+def _encode(obj, pad: str) -> str:
+    if hasattr(obj, "item"):  # numpy scalars
+        obj = obj.item()
+    if isinstance(obj, float):
+        return format_float(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = (f"{json.dumps(str(key))}: {_encode(value, inner)}" for key, value in obj.items())
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = (_encode(value, inner) for value in obj)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    return json.dumps(obj)
 
 
 def write_json(path, obj) -> None:

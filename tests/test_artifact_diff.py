@@ -4,6 +4,8 @@ import importlib.util
 import subprocess
 from pathlib import Path
 
+import pytest
+
 from tests.conftest import REPO
 
 _spec = importlib.util.spec_from_file_location("artifact_diff", REPO / "tools" / "artifact_diff.py")
@@ -64,3 +66,20 @@ def test_only_the_new_tree_runs_at_the_given_blas_threads(monkeypatch):
     artifact_diff.compare_trees(old, new, [("pes", "separable.json", ())], blas_threads=2)
     artifact_diff.compare_trees(old, new, [("pes", "separable.json", ())])
     assert seen == [("tools", "1"), ("tests", "2"), ("tools", "1"), ("tests", "1")]
+
+
+def test_a_tree_that_is_not_a_source_tree_or_has_no_configs_is_refused(tmp_path, capsys):
+    bare = tmp_path / "bare"  # a bolab package but no configs
+    (bare / "src" / "bolab").mkdir(parents=True)
+    (bare / "src" / "bolab" / "__init__.py").write_text("")
+    (bare / "configs").mkdir()
+    cases = [([tmp_path / "nonexistent", tmp_path / "nonexist2"], "src/bolab/__init__.py"),
+             ([REPO, tmp_path / "nonexistent"], "src/bolab/__init__.py"),
+             ([tmp_path / "nonexistent", REPO], "src/bolab/__init__.py"),
+             ([REPO, bare], "holds no *.json config")]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exit_info:
+            artifact_diff.main([str(tree) for tree in argv])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err

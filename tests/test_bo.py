@@ -276,6 +276,13 @@ def test_t1_coupling_rejections(harmonic2000, harmonic2000_setup):
         t1_coupling_matrix(field, {}, [(0, 0)], spec.M)
 
 
+def test_t1_coupling_rejects_a_nuclear_solution_from_another_grid(harmonic2000, harmonic2000_setup):
+    spec, g1, _ = harmonic2000_setup
+    moved = replace(harmonic2000.nuclear[0], grid1=build_grid(g1.x_min, g1.x_max + 0.1, g1.n))
+    with pytest.raises(ValueError, match="must share the field's nuclear grid"):
+        t1_coupling_matrix(harmonic2000.field, {0: moved}, [(0, 0)], spec.M)
+
+
 def test_born_huang_correction_magnitude(harmonic2000, harmonic2000_setup):
     # rigidly translating ground slice: correction = m omega2 / (4 M), constant.
     # The Born-Huang term is the rank-1 compression: each x1 link scales the

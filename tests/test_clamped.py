@@ -356,3 +356,13 @@ def test_heavy_rejections(harmonic2000):
         heavy_gap_report(field, (-0.1, 0.1), 0.0)
     with pytest.raises(ValueError):
         heavy_gap_report(field, (10.0, 11.0), 1.0)  # outside the grid
+
+
+def test_heavy_gap_report_needs_two_surfaces():
+    g1 = build_grid(0.0, 1.0, 9)
+    g2 = build_grid(0.0, 1.0, 8)
+    two = _synthetic_field(np.zeros(9), np.ones(9), g1, g2)
+    one = ElectronicField(grid1=g1, grid2=g2, n_surfaces=1, energies=two.energies[:1],
+                          states=two.states[:1])
+    with pytest.raises(ValueError, match="gap report needs at least two surfaces"):
+        heavy_gap_report(one, (0.0, 1.0), 1.0)

@@ -648,3 +648,17 @@ def test_load_config_validates_counts(tmp_path):
     path.write_text(json.dumps(cfg))
     with pytest.raises(ValueError):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_surfaces", 97, "n_surfaces cannot exceed grid2.n"),
+    ("nuclear_levels", 97, "nuclear_levels cannot exceed grid1.n"),
+    ("exact_k", 21, "exact_k must be between 1 and 20")])
+def test_count_above_its_limit_exits_2_naming_it(tmp_path, capsys, key, value, message):
+    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())  # grid1.n = grid2.n = 96
+    cfg[key] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("exact", path, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()

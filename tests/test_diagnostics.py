@@ -66,6 +66,12 @@ def test_unnormalized_input_rejected():
         uncertainty_product_stencil(GridFunction(g, np.ones(64)))
 
 
+def test_unnormalized_product_state_rejected(harmonic2000):
+    state = harmonic2000.product_states[0]
+    with pytest.raises(ValueError, match="product state must be normalized"):
+        nuclear_uncertainty(replace(state, amplitudes=2.0 * state.amplitudes))
+
+
 def test_stencil_route_agrees_on_smooth_states():
     # sampled continuum Gaussian: the two routes converge at second order
     diffs = {}
@@ -216,6 +222,22 @@ def test_empty_sweep_is_named_before_the_scan(monkeypatch):
     g2 = build_grid(-8.5, 8.5, 16)
     with pytest.raises(ValueError, match="mass_ratios is empty"):
         kappa_scaling_study(spec, [], g1, g2, A=2)
+
+
+def test_one_surface_is_named_before_the_scan(monkeypatch):
+    import bolab.diagnostics as diag
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan_pes called with one surface")
+
+    monkeypatch.setattr(diag, "scan_pes", no_scan)
+    spec = ModelSpec(M=10.0, m=1.0, potential=HarmonicCoupling(1.0, 1.0))
+    g1 = build_grid(-2.4, 2.4, 16)
+    g2 = build_grid(-8.5, 8.5, 16)
+    with pytest.raises(ValueError, match="n_surfaces must be at least 2"):
+        kappa_scaling_study(spec, [10.0, 100.0], g1, g2, A=1)
+    with pytest.raises(ValueError, match="n_surfaces must be at least 2"):
+        compare_report(spec, g1, g2, A=1, N=1)
 
 
 @pytest.mark.parametrize("ratios, bad", [([10.0, float("nan")], "nan"), ([-1.0, 10.0], "-1.0"),

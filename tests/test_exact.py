@@ -273,6 +273,22 @@ def test_factorization_failure_is_a_solver_error(harmonic2000, monkeypatch):
         solve_exact(harmonic2000.hamiltonian, 1)
 
 
+def test_residuals_above_the_contract_are_a_solver_error(harmonic2000, tmp_path, monkeypatch,
+                                                           capsys):
+    monkeypatch.setattr(exact, "RESIDUAL_RTOL", 1e-30)
+    with pytest.raises(SolverError, match="exceed the contract"):
+        solve_exact(harmonic2000.hamiltonian, 1)
+    out = tmp_path / "out"
+    assert main(["exact", "--config", str(CONFIG_DIR / "separable.json"), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("solver failure: eigensolver residuals")
+
+
+def test_apply_rejects_an_array_off_the_product_grid():
+    h = assemble_full_hamiltonian(_harmonic(), build_grid(-4, 4, 16), build_grid(-5, 5, 20))
+    with pytest.raises(ValueError, match="does not match product grid"):
+        h.apply(np.zeros((20, 16)))
+
+
 # --------------------------------------------------------------------------
 # assembly from the five diagonals, and the certified lambda_0 hint
 

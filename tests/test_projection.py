@@ -20,6 +20,17 @@ def test_projector_rank_validation(harmonic2000):
         build_projector(field, field.n_surfaces + 1)
 
 
+def test_projector_and_compression_reject_other_grids():
+    field, _ = _small_full_rank_setup()
+    p = build_projector(field, 2)
+    with pytest.raises(ValueError, match="does not match the field's product grid"):
+        p.apply(np.zeros((field.grid1.n, field.grid2.n + 1)))
+    other = assemble_full_hamiltonian(ModelSpec(M=5.0, m=1.0, potential=HarmonicCoupling(1.0, 1.0)),
+                                      build_grid(-1.5, 1.5, 8), build_grid(-4.0, 4.0, 9))
+    with pytest.raises(ValueError, match="projector and Hamiltonian live on different grids"):
+        effective_matrix(p, other)
+
+
 def test_projector_idempotent_and_symmetric(harmonic2000):
     field = harmonic2000.field
     p = build_projector(field, 2)

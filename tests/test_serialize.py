@@ -46,3 +46,12 @@ def test_write_json(tmp_path):
     path = tmp_path / "t.json"
     write_json(path, {"e": 1.5})
     assert json.loads(path.read_text()) == {"e": 1.5}
+
+
+def test_strings_with_control_and_non_ascii_characters_round_trip():
+    text = ["line\nbreak", "tab\there", "nul\x00byte", 'quote "q"', "back\\slash", "Born–Oppenheimer ψ"]
+    obj = {"strings": text, "mixed": [{"s": s, "n": 3, "ok": True, "none": None, "x": 0.5} for s in text],
+           text[0]: {text[5]: text[2]}}
+    text_out = dumps(obj)
+    assert json.loads(text_out) == obj
+    assert dumps(json.loads(text_out)) == text_out

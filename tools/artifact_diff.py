@@ -14,7 +14,9 @@ stderr, and stdout are compared; the output directory is masked in stdout and
 stderr. Prints each difference and a summary, and exits 1 if anything
 differs. When two versions of an output differ only in the numbers they
 spell, the difference line also gives the largest absolute and relative
-change of a number.
+change of a number. Exits 2 without running anything if either tree has no
+``src/bolab/__init__.py`` or NEW_TREE has no ``configs/*.json``, so a mistyped
+path cannot pass as "all identical".
 """
 
 import argparse
@@ -109,7 +111,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.blas_threads < 1:
         parser.error("--blas-threads must be at least 1")
+    for tree in (args.old_tree, args.new_tree):
+        if not (tree / "src" / "bolab" / "__init__.py").is_file():
+            parser.error(f"{tree} is not a bolab source tree: it has no src/bolab/__init__.py")
     jobs = default_jobs(args.new_tree / "configs")
+    if not jobs:
+        parser.error(f"{args.new_tree / 'configs'} holds no *.json config")
     count, lines = compare_trees(args.old_tree, args.new_tree, jobs, args.blas_threads)
     for line in lines:
         print(line)

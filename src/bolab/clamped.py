@@ -41,6 +41,11 @@ class ElectronicField:
     ``energies[a, i]`` is the a-th surface at nuclear point i (sorted per
     slice); ``states[a, i, :]`` the matching slice eigenfunction, normalized
     under the grid2-weighted inner product and phase-fixed along i.
+    ``mirrored`` records that the scan solved slices 0 .. ceil(n1/2) - 1 of an
+    inversion-even W and mirrored the rest. With ``degenerate_flags`` empty,
+    ``phase_fix`` only flipped signs, so slice n1-1-i is then exactly slice i
+    reversed in x2, up to sign; at a flagged slice it rotated a near-degenerate
+    group, which breaks that.
     """
 
     grid1: Grid1D
@@ -50,6 +55,7 @@ class ElectronicField:
     states: np.ndarray             # (A, n1, n2)
     crossing_flags: list = field(default_factory=list)    # (slice i, surface a) pairs
     degenerate_flags: list = field(default_factory=list)  # slice indices with near-degenerate pairs
+    mirrored: bool = False
 
     def state(self, a: int, i: int) -> GridFunction:
         return GridFunction(self.grid2, self.states[a, i])
@@ -83,23 +89,24 @@ def solve_clamped_slice(spec: ModelSpec, grid2: Grid1D, X: float, A: int):
     Returns ``(energies, states)`` with states of shape (A, n2): the scan's
     solve for one slice, so it gives the same bits as a slice ``scan_pes`` solves.
     """
-    energies, states = _solve_slices(spec, grid2, np.array([X], dtype=float), A)
+    energies, states, _ = _solve_slices(spec, grid2, np.array([X], dtype=float), A)
     return energies[:, 0], states[:, 0]
 
 
 def _solve_slices(spec: ModelSpec, grid2: Grid1D, X: np.ndarray, A: int):
-    """(energies (A, r), h2-normalized states (A, r, n2)) of H_cl at the r points ``X``.
+    """(energies (A, r), h2-normalized states (A, r, n2), mirrored) of H_cl at the r points ``X``.
 
     H_cl is tridiagonal (3-point stencil plus a diagonal potential), so all r
-    slices go through one ``grid.slice_eigenpairs`` call; a failure is a RuntimeError.
+    slices go through one ``grid.slice_eigenpairs`` call, which also says whether
+    it mirrored half of them; a failure is a RuntimeError.
     """
     if not 1 <= A <= grid2.n:
         raise ValueError(f"need 1 <= A <= n2, got A = {A}, n2 = {grid2.n}")
     states = np.empty((A, len(X), grid2.n))
-    energies = slice_eigenpairs(grid2, spec.m, evaluate_potential(spec, X[:, None], grid2.points),
-                                A, states)
+    energies, mirrored = slice_eigenpairs(grid2, spec.m,
+                                          evaluate_potential(spec, X[:, None], grid2.points), A, states)
     states /= np.sqrt(grid2.h)  # unit Euclidean vectors to the h2-weighted norm
-    return energies, states
+    return energies, states, mirrored
 
 
 def phase_fix(states: np.ndarray, energies: np.ndarray, h2: float):
@@ -142,14 +149,14 @@ def scan_pes(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, threads: int
     """Solve the clamped slices over grid1 and assemble a phase-continuous field.
 
     One batched call solves the slices (0 .. ceil(n1/2) - 1, the rest mirrored, if W is
-    inversion-even), then one sequential sweep phase-fixes them. ``threads`` is accepted
-    for compatibility and ignored.
+    inversion-even; the field's ``mirrored`` records which), then one sequential sweep
+    phase-fixes them. ``threads`` is accepted for compatibility and ignored.
     """
-    energies, states = _solve_slices(spec, grid2, grid1.points, A)
+    energies, states, mirrored = _solve_slices(spec, grid2, grid1.points, A)
     states, crossing, degenerate = phase_fix(states, energies, grid2.h)
     return ElectronicField(grid1=grid1, grid2=grid2, n_surfaces=A,
-                           energies=energies, states=states,
-                           crossing_flags=crossing, degenerate_flags=degenerate)
+                           energies=energies, states=states, crossing_flags=crossing,
+                           degenerate_flags=degenerate, mirrored=mirrored)
 
 
 def heavy_gap_report(field: ElectronicField, region: tuple[float, float],

@@ -9,11 +9,12 @@ isometric image of the band-limited function
 which is a genuine square-integrable function, so sigma_x * sigma_p >= 1/2
 holds for it exactly (mixed states included) and any measured product sits
 above the bound up to round-off. Moments of F reduce to small closed-form
-matrices in the sine coefficients. One kernel evaluates them for a batch of
-grid vectors (one sine-transform matmul along the grid axis, then one
-matrix product per moment); a pure state is one column, a reduced heavy
-state the h2-weighted sum over its amplitude columns, and the slice states
-of a surface one batch.
+matrices in the sine coefficients, which split by parity about the box
+centre. One kernel evaluates them for a batch of grid vectors (one folded
+sine-transform matmul per parity along the grid axis, then one block product
+per moment); a pure state is one column, a reduced heavy state the
+h2-weighted sum over its amplitude columns, and the slice states of a
+surface one batch, its mirror slices left out where the scan mirrored.
 By contrast, second moments built from the 3-point stencil on a discrete
 eigenstate land *below* the bound by O(h^2) (the stencil underestimates
 kinetic energy), so that route is kept only as a cross-check utility.
@@ -30,7 +31,8 @@ from .bo import (NuclearSolution, ProductState, adiabatic_residual,
 from .clamped import ElectronicField, HeavyReport, heavy_gap_report, scan_pes
 from .exact import (DEFAULT_SEED, FullHamiltonian, assemble_full_hamiltonian,
                     rayleigh_quotient, solve_exact)
-from .grid import Grid1D, GridFunction, central_difference, second_difference
+from .grid import (_EPS, _GATE_ULPS, Grid1D, GridFunction, central_difference,
+                   kinetic_diagonals, second_difference)
 from .model import ModelSpec, kappa, potential_to_dict
 from .projection import build_projector, solve_effective
 
@@ -54,40 +56,56 @@ class UncertaintyResult:
 # sine-basis moment machinery
 
 class _SineMoments:
-    """Closed-form moment matrices in the orthonormal Dirichlet sine basis.
+    """Closed-form moment blocks in the orthonormal Dirichlet sine basis, split by parity.
 
-    With u in [0, L] and phi_k(u) = sqrt(2/L) sin(k pi u / L):
+    With u = x - (x_min + x_max)/2 in [-L/2, L/2] and phi_k(u) = sqrt(2/L) sin(k pi (u/L + 1/2)),
+    phi_k has parity (-1)^(k+1) about u = 0; subscripts o and e mark odd and even k:
 
-        X1[k,l] = <phi_k| u |phi_l>,   X2[k,l] = <phi_k| u^2 |phi_l>,
-        QG[k,l] = q_l G[k,l],          G[k,l] = <phi_k| phi_l' > / q_l,
+        B[k,l]   = <phi_k| u |phi_l>     = -(8 L/pi^2) k l / (k^2 - l^2)^2    (k odd, l even),
+        U2[k,l]  = <phi_k| u^2 |phi_l>   =  (8 L^2/pi^2) k l / (k^2 - l^2)^2  (k != l, same parity),
+        U2[k,k]                          =  L^2 (1/12 - 1/(2 pi^2 k^2)),
+        Q[k,l]   = <phi_k| d/du |phi_l>  =  (4/L) k l / (k^2 - l^2)            (k odd, l even),
 
-    where G[k,l] = (2/pi)(1/(k+l) + 1/(k-l)) on odd k-l and zero otherwise.
-    The momentum operator -i d/du then has matrix P = -i QG; it is Hermitian
-    (QG is antisymmetric), so real states get exactly zero mean momentum.
-    S is the orthonormal DST-I matrix taking grid values to sine coefficients;
-    a dense matmul beats an FFT of length 2(n+1) at these sizes. Its sine
-    arguments are reduced mod 2(n+1) in integers, so they stay exact.
+    and every other entry is zero: u and d/du couple only opposite parities, u^2 only
+    equal ones (two blocks, ``U2o`` and ``U2e``), and p^2 is diagonal,
+    ``q2 = (k pi/L)^2``. d/du is antisymmetric, so <p> = 2 Im(c_o^H Q c_e) and a real state
+    has exactly zero mean momentum. Row k of the orthonormal DST-I matrix S, which takes grid
+    values to sine coefficients, has the same parity under j -> n-1-j, so only its first
+    ceil(n/2) columns are kept: ``So`` (odd rows) and ``Se`` (even rows, without the middle
+    column of an odd n, where they are zero). A dense matmul beats an FFT of length 2(n+1) at these
+    sizes. Sine arguments are reduced mod 2(n+1) in integers, so they stay exact.
     """
 
     def __init__(self, n: int, length: float):
-        k = np.arange(1, n + 1)
-        self.q = k * np.pi / length
-        K, L = np.meshgrid(k, k, indexing="ij")
-        self.S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * ((K * L) % (2 * (n + 1))) / (n + 1))
-        diff = (K - L).astype(float)
-        summ = (K + L).astype(float)
-        odd = (K - L) % 2 != 0
-        inv_d2 = np.where(diff == 0.0, 0.0, 1.0 / np.where(diff == 0.0, 1.0, diff) ** 2)
-        inv_s2 = 1.0 / summ**2
-        # first moment couples only odd k-l
-        self.X1 = np.where(odd, -(2.0 * length / np.pi**2) * (inv_d2 - inv_s2), 0.0)
-        np.fill_diagonal(self.X1, length / 2.0)
-        # second moment couples every k != l
-        sign = np.where((K - L) % 2 == 0, 1.0, -1.0)
-        self.X2 = sign * (2.0 * length**2 / np.pi**2) * (inv_d2 - inv_s2)
-        np.fill_diagonal(self.X2, length**2 * (1.0 / 3.0 - 1.0 / (2.0 * k**2 * np.pi**2)))
-        inv_d = np.where(diff == 0.0, 0.0, 1.0 / np.where(diff == 0.0, 1.0, diff))
-        self.QG = np.where(odd, (2.0 / np.pi) * (1.0 / summ + inv_d), 0.0) * self.q[None, :]
+        self.n = n
+        ko, ke = np.arange(1, n + 1, 2), np.arange(2, n + 1, 2)
+        self.So = _dst_rows(ko, n - n // 2, n)
+        self.Se = _dst_rows(ke, n // 2, n)
+        kl, d = np.multiply.outer(ko, ke), np.subtract.outer(ko * ko, ke * ke)
+        self.B = -(8.0 * length / np.pi**2) * kl / (d * d)
+        self.Q = (4.0 / length) * kl / d
+        self.U2o, self.U2e = (_second_moment_block(k, length) for k in (ko, ke))
+        self.q2 = (np.arange(1, n + 1) * np.pi / length) ** 2
+
+    @property
+    def S(self) -> np.ndarray:
+        """The whole (n, n) DST-I matrix, built on each read; the kernel uses So and Se."""
+        return _dst_rows(np.arange(1, self.n + 1), self.n, self.n)
+
+
+def _dst_rows(k: np.ndarray, cols: int, n: int) -> np.ndarray:
+    """Rows ``k`` (1-based) and the first ``cols`` columns of the orthonormal DST-I of size n."""
+    kj = np.multiply.outer(k, np.arange(1, cols + 1)) % (2 * (n + 1))
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * kj / (n + 1))
+
+
+def _second_moment_block(k: np.ndarray, length: float) -> np.ndarray:
+    """<phi_k| u^2 |phi_l> over one parity class ``k``, u centred."""
+    kl, d = np.multiply.outer(k, k), np.subtract.outer(k * k, k * k)
+    np.fill_diagonal(d, 1)
+    block = (8.0 * length**2 / np.pi**2) * kl / (d * d)
+    np.fill_diagonal(block, length**2 * (1.0 / 12.0 - 1.0 / (2.0 * np.pi**2 * k**2)))
+    return block
 
 
 @lru_cache(maxsize=8)
@@ -98,16 +116,28 @@ def _sine_moments(n: int, length: float) -> _SineMoments:
 def _column_moments(values: np.ndarray, grid: Grid1D):
     """<u>, <u^2>, <p>, <p^2>, each of shape (r,), for the (n, r) grid vectors ``values``.
 
-    u = x - x_min; columns may be complex. <p> = c^H (-i QG) c is taken as
-    imag(c^H QG c), which is exactly zero for real columns, so they skip it.
+    u = x - (x_min + x_max)/2, the box centre; the spreads do not depend on the origin.
+    Each column is folded about the centre, its even part giving the odd-k sine
+    coefficients and its odd part the even-k ones, and every moment is read from the
+    parity blocks of ``_SineMoments``: 1.25 n^2 multiply-adds per real column. Columns
+    may be complex; real ones skip <p>, which is exactly zero for them.
     """
     sm = _sine_moments(grid.n, grid.length)
-    c = np.sqrt(grid.h) * (sm.S @ values)
-    cc = np.conj(c)
-    mean_u = np.real(np.sum(cc * (sm.X1 @ c), axis=0))
-    mean_u2 = np.real(np.sum(cc * (sm.X2 @ c), axis=0))
-    mean_p = np.imag(np.sum(cc * (sm.QG @ c), axis=0)) if np.iscomplexobj(c) else np.zeros(c.shape[1])
-    mean_p2 = np.sum(sm.q[:, None] ** 2 * np.abs(c) ** 2, axis=0)
+    n, half = grid.n, grid.n // 2
+    flipped = values[::-1][:half]
+    even = values[:n - half].copy()  # the middle row of an odd n stays as it is
+    even[:half] += flipped
+    co, ce = sm.So @ even, sm.Se @ (values[:half] - flipped)
+    cplx = np.iscomplexobj(values)
+    cco, cce = (np.conj(co), np.conj(ce)) if cplx else (co, ce)
+    h = grid.h
+    mean_u = 2.0 * h * np.real(np.einsum("kr,kr->r", cco, sm.B @ ce))
+    mean_u2 = h * np.real(np.einsum("kr,kr->r", cco, sm.U2o @ co)
+                          + np.einsum("kr,kr->r", cce, sm.U2e @ ce))
+    mean_p = (2.0 * h * np.imag(np.einsum("kr,kr->r", cco, sm.Q @ ce)) if cplx
+              else np.zeros(values.shape[1]))
+    mean_p2 = h * np.real(np.einsum("k,kr,kr->r", sm.q2[0::2], cco, co)
+                          + np.einsum("k,kr,kr->r", sm.q2[1::2], cce, ce))
     return mean_u, mean_u2, mean_p, mean_p2
 
 
@@ -170,13 +200,22 @@ def nuclear_uncertainty(state: ProductState, label: str = "") -> UncertaintyResu
 
 
 def slice_uncertainty_products(field: ElectronicField) -> np.ndarray:
-    """sigma_x * sigma_p for every scanned slice state; shape (A, n1), one batch per surface."""
-    out = np.empty((field.n_surfaces, field.grid1.n))
+    """sigma_x * sigma_p for every scanned slice state; shape (A, n1), one batch per surface.
+
+    Every slice must be normalized. If the scan mirrored its slices and flagged no
+    degenerate slice, slice n1-1-i is slice i reflected up to sign (see ElectronicField),
+    and a reflection changes neither spread: only slices 0 .. ceil(n1/2) - 1 are
+    evaluated, and their products are copied, reversed, to the rest.
+    """
+    n1 = field.grid1.n
+    half = (n1 + 1) // 2 if field.mirrored and not field.degenerate_flags else n1
+    out = np.empty((field.n_surfaces, n1))
     for a, states in enumerate(field.states):
         norms = np.sqrt(field.grid2.h) * np.linalg.norm(states, axis=1)
         if np.any(np.abs(norms - 1.0) > NORMALIZATION_TOL):
             raise ValueError(f"slice states of surface {a} must be normalized")
-        out[a] = _spreads(*_column_moments(states.T, field.grid2))[2]
+        out[a, :half] = _spreads(*_column_moments(states[:half].T, field.grid2))[2]
+    out[:, half:] = out[:, :n1 - half][:, ::-1]
     return out
 
 
@@ -259,8 +298,9 @@ class Run:
     ``solve_exact`` certifies; ``row`` and ``heff`` read only the first, so the
     reports use the default k = 1), ``residuals`` (one per surface),
     ``uncertainty`` and ``row``. The row's heavy report spans ``nuclear_region`` of
-    the nuclear ground state, takes its first level spacing (its kinetic
-    expectation at one level) as the kinetic scale, and needs A >= 2.
+    the nuclear ground state, takes its first level spacing as the kinetic scale
+    (its kinetic expectation at one level, or where the spacing is within the two
+    levels' Ritz error bound, 32 eps |T1 + diag lambda_0|), and needs A >= 2.
     ``heff(ranks)`` and ``report(**fields)`` read the stages. The scan holds no M,
     so a mass sweep passes one field to every row; a field from other grids or with
     another surface count is a ValueError. Of the oracle only the energies are
@@ -328,8 +368,13 @@ class Run:
         rq = rayleigh_quotient(self.hamiltonian, self.product_states[0].amplitudes)
         e0 = self.exact_energies[0]
         t1_cands = t1_scale_candidates(sol0, spec.M)
+        # the spacing counts only above its two Ritz values' error bound, the solver's gate
+        d, e = kinetic_diagonals(self.grid1, spec.M)
+        norm = np.abs(d + self.field.energies[0]).max() + 2.0 * np.abs(e).max()
+        spacing = t1_cands.get("level_spacing", 0.0)
         heavy = heavy_gap_report(self.field, nuclear_region(sol0.theta(0)),
-                                 t1_cands.get("level_spacing", t1_cands["kinetic_expectation"]))
+                                 spacing if spacing > 2.0 * _GATE_ULPS * _EPS * norm
+                                 else t1_cands["kinetic_expectation"])
         return ScalingRow(mass_ratio=spec.M / spec.m, kappa=kappa(spec),
                           bo_energy=float(sol0.energies[0]), rayleigh_quotient=rq,
                           exact_energy=float(e0), relative_error=float(abs(rq - e0) / abs(e0)),

@@ -112,7 +112,7 @@ def _bo_lower_bound(h: FullHamiltonian, lam0=None) -> float:
     within 16 eps |T| of the true bound. Both errors are far inside the shift offset.
     """
     if lam0 is None:
-        lam0 = slice_eigenpairs(h.grid2, h.mass2, h.potential_grid, 1)[0]
+        lam0 = slice_eigenpairs(h.grid2, h.mass2, h.potential_grid, 1)[0][0]
     d1, e1 = kinetic_diagonals(h.grid1, h.mass1)
     return float(_lowest_eigenpairs((d1 + lam0)[None], e1, 1)[0, 0])
 

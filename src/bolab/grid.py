@@ -143,8 +143,10 @@ def inversion_even(w: np.ndarray) -> bool:
                 and np.abs(w - w[::-1, ::-1]).max() <= _SYMMETRY_ULPS * _EPS * np.abs(w).max())
 
 
-def slice_eigenpairs(grid: Grid1D, mass: float, w: np.ndarray, A: int, vectors=None) -> np.ndarray:
-    """``_lowest_eigenpairs`` of the r slices -(1/2 mass) d^2/dx^2 + diag w[i] on ``grid``.
+def slice_eigenpairs(grid: Grid1D, mass: float, w: np.ndarray, A: int,
+                     vectors=None) -> tuple[np.ndarray, bool]:
+    """``_lowest_eigenpairs`` of the r slices -(1/2 mass) d^2/dx^2 + diag w[i] on ``grid``,
+    and whether the slices were mirrored: (energies (A, r), mirrored).
 
     If ``inversion_even(w)``, slice r-1-i is slice i reversed, so only slices 0 .. ceil(r/2)-1
     are solved and slice r-1-i gets slice i's values and reversed vectors (signs as reversed):
@@ -152,12 +154,13 @@ def slice_eigenpairs(grid: Grid1D, mass: float, w: np.ndarray, A: int, vectors=N
     besides the solver's 16 eps |T|. Any other ``w`` has all r slices solved.
     """
     d, e = kinetic_diagonals(grid, mass)
-    half = (len(w) + 1) // 2 if inversion_even(w) else len(w)
+    mirrored = inversion_even(w)
+    half = (len(w) + 1) // 2 if mirrored else len(w)
     part = None if vectors is None else vectors[:, :half]
     energies = _lowest_eigenpairs(d + w[:half], e, A, part)
     if vectors is not None:
         vectors[:, half:] = part[:, :len(w) - half][:, ::-1, ::-1]
-    return np.hstack([energies, energies[:, :len(w) - half][:, ::-1]])
+    return np.hstack([energies, energies[:, :len(w) - half][:, ::-1]]), mirrored
 
 
 def _lowest_eigenpairs(d: np.ndarray, e: np.ndarray, A: int, vectors=None) -> np.ndarray:

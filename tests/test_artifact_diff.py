@@ -55,6 +55,22 @@ def test_numeric_differences_are_sized():
                     "b'x1,theta_0,theta_2'")
 
 
+def test_summary_bounds_the_numbers_only_differences():
+    old = {"file:pes.csv": b"x1,lambda_0\n-0.5,0.25\n", "file:report.json": b'{"a": 2.0}\n',
+           "exit": b"0"}
+    new = {"file:pes.csv": b"x1,lambda_0\n-0.5,0.2500000001\n", "file:report.json": b'{"a": 2.5}\n',
+           "exit": b"0"}
+    lines = artifact_diff.diff_outputs("pes", old, new)
+    assert artifact_diff.summary(3, 1, lines) == (
+        "3 outputs of 1 runs compared: 2 differ (2 numbers only, largest change "
+        "0.5 absolute, 0.2 relative)")
+    lines += artifact_diff.diff_outputs("bo", {"stdout": b"a"}, {"stdout": b"b"})
+    assert artifact_diff.summary(4, 2, lines).endswith("3 differ (2 numbers only, largest change "
+                                                       "0.5 absolute, 0.2 relative)")
+    assert artifact_diff.summary(1, 1, lines[-1:]) == "1 outputs of 1 runs compared: 1 differ (0 numbers only)"
+    assert artifact_diff.summary(4, 2, []) == "4 outputs of 2 runs compared: all identical"
+
+
 def test_only_the_new_tree_runs_at_the_given_blas_threads(monkeypatch):
     seen = []
 

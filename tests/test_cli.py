@@ -552,11 +552,14 @@ def test_exact_across_the_accepted_masses_never_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize("mass", [1e28, 1e40, 1e52, 1e60])
-def test_compare_heavy_scale_underflow_exits_3(tmp_path, capsys, mass):
-    # the config is valid; the heavy level spacing, compare's kinetic scale, vanishes in round-off
+def test_compare_at_vanishing_level_spacing_exits_0(tmp_path, mass):
+    # the heavy level spacing is 0.0 here, inside the Ritz error bound, so the
+    # kinetic expectation is the kinetic scale
     path = _with_masses(tmp_path, "separable.json", M=mass, m=mass)
-    assert _run("compare", path, tmp_path / "out") == 3
-    assert capsys.readouterr().err.startswith("solver failure: ")
+    assert _run("compare", path, tmp_path / "out") == 0
+    row = json.loads((tmp_path / "out" / "report.json").read_text())["rows"][0]
+    assert row["t1_candidates"]["level_spacing"] == 0.0
+    assert row["heavy"]["t1_scale"] == row["t1_candidates"]["kinetic_expectation"] > 0.0
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))

@@ -16,6 +16,7 @@ from bolab.diagnostics import (UNCERTAINTY_SLACK, _sine_moments, compare_report,
                                nuclear_uncertainty, run_pipeline, slice_uncertainty_products,
                                t1_scale_candidates, uncertainty_product,
                                uncertainty_product_stencil)
+from bolab import diagnostics
 from bolab.clamped import scan_pes
 from bolab.exact import assemble_full_hamiltonian
 from bolab.grid import GridFunction, build_grid
@@ -151,6 +152,83 @@ def test_dense_sine_transform_matches_dst(n):
     ref = dst(v, type=1, norm="ortho", axis=0)
     assert np.max(np.abs(S @ v - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.allclose(S @ S, np.eye(n), rtol=0.0, atol=1e-13)
+
+
+def _whole_matrix_moments(values, g):
+    """Reference spreads and <p> from the whole moment matrices: u = x - x_min in [0, L],
+    X1, X2 and QG over every pair (k, l), and c = sqrt(h) S v."""
+    n, L = g.n, g.length
+    k = np.arange(1, n + 1)
+    K, Lk = np.meshgrid(k, k, indexing="ij")
+    d, s = (K - Lk).astype(float), (K + Lk).astype(float)
+    odd = (K - Lk) % 2 != 0
+    inv_d = np.where(d == 0.0, 0.0, 1.0 / np.where(d == 0.0, 1.0, d))
+    x1 = np.where(odd, -(2.0 * L / np.pi**2) * (inv_d**2 - 1.0 / s**2), 0.0)
+    np.fill_diagonal(x1, L / 2.0)
+    x2 = np.where(odd, -1.0, 1.0) * (2.0 * L**2 / np.pi**2) * (inv_d**2 - 1.0 / s**2)
+    np.fill_diagonal(x2, L**2 * (1.0 / 3.0 - 1.0 / (2.0 * k**2 * np.pi**2)))
+    q = k * np.pi / L
+    qg = np.where(odd, (2.0 / np.pi) * (1.0 / s + inv_d), 0.0) * q[None, :]
+    c = np.sqrt(g.h) * (_sine_moments(n, L).S @ values)
+    mean_u = np.real(np.sum(np.conj(c) * (x1 @ c), axis=0))
+    mean_u2 = np.real(np.sum(np.conj(c) * (x2 @ c), axis=0))
+    mean_p = np.imag(np.sum(np.conj(c) * (qg @ c), axis=0))
+    sigma_x = np.sqrt(mean_u2 - mean_u**2)
+    sigma_p = np.sqrt(np.sum(q[:, None] ** 2 * np.abs(c) ** 2, axis=0) - mean_p**2)
+    return sigma_x, sigma_p, mean_p
+
+
+@pytest.mark.parametrize("n", [8, 9, 255, 256, 384])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_parity_blocks_match_the_whole_matrices(n, dtype):
+    # centred parity blocks against the uncentred whole matrices; odd n has a middle point
+    g = build_grid(-1.3, 2.1, n)
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((n, 6)).astype(dtype)
+    if dtype is complex:
+        v += 1j * rng.standard_normal((n, 6))
+    v /= np.sqrt(g.h * np.sum(np.abs(v) ** 2, axis=0))
+    mean_u, mean_u2, mean_p, mean_p2 = diagnostics._column_moments(v, g)
+    sigma_x, sigma_p = np.sqrt(mean_u2 - mean_u**2), np.sqrt(mean_p2 - mean_p**2)
+    ref_x, ref_p, ref_mean_p = _whole_matrix_moments(v, g)
+    assert np.allclose(sigma_x, ref_x, rtol=1e-12, atol=0.0)
+    assert np.allclose(sigma_p, ref_p, rtol=1e-12, atol=0.0)
+    assert np.allclose(mean_p, ref_mean_p, rtol=0.0, atol=1e-12 * np.max(np.abs(ref_mean_p)))
+    if dtype is float:
+        assert not mean_p.any()
+
+
+@pytest.fixture
+def kernel_columns(monkeypatch):
+    """The column count of every ``_column_moments`` call, in call order."""
+    columns, kernel = [], diagnostics._column_moments
+
+    def spy(values, grid):
+        columns.append(values.shape[1])
+        return kernel(values, grid)
+    monkeypatch.setattr(diagnostics, "_column_moments", spy)
+    return columns
+
+
+def test_mirrored_slices_are_evaluated_once(harmonic2000, kernel_columns):
+    field = harmonic2000.field
+    n1 = field.grid1.n
+    assert field.mirrored and not field.degenerate_flags
+    products = slice_uncertainty_products(field)
+    assert kernel_columns == [(n1 + 1) // 2] * field.n_surfaces
+    assert np.array_equal(products, products[:, ::-1])
+
+
+def test_unmirrored_or_degenerate_fields_evaluate_every_slice(harmonic2000, harmonic2000_setup,
+                                                              kernel_columns):
+    spec, g1, g2 = harmonic2000_setup
+    off_centre = scan_pes(spec, build_grid(-0.6, 0.7, g1.n), g2, 3)
+    assert not off_centre.mirrored
+    flagged = replace(harmonic2000.field, degenerate_flags=[1])
+    for field in (off_centre, flagged):
+        kernel_columns.clear()
+        slice_uncertainty_products(field)
+        assert kernel_columns == [g1.n] * 3
 
 
 def test_import_does_not_load_scipy_fft():

@@ -14,9 +14,10 @@ stderr, and stdout are compared; the output directory is masked in stdout and
 stderr. Prints each difference and a summary, and exits 1 if anything
 differs. When two versions of an output differ only in the numbers they
 spell, the difference line also gives the largest absolute and relative
-change of a number. Exits 2 without running anything if either tree has no
-``src/bolab/__init__.py`` or NEW_TREE has no ``configs/*.json``, so a mistyped
-path cannot pass as "all identical".
+change of a number, and the summary counts these outputs and gives the
+largest changes over all of them. Exits 2 without running anything if either
+tree has no ``src/bolab/__init__.py`` or NEW_TREE has no ``configs/*.json``,
+so a mistyped path cannot pass as "all identical".
 """
 
 import argparse
@@ -31,6 +32,7 @@ COMMANDS = ("pes", "bo", "exact", "project", "compare")
 OUT_MASK = b"<OUT>"
 # a decimal number, not the digits inside a name such as theta_1
 NUMBER = re.compile(rb"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+SIZED = re.compile(r"; numbers only, largest change (\S+) absolute, (\S+) relative$")
 
 
 def default_jobs(configs_dir: Path) -> list:
@@ -90,6 +92,19 @@ def diff_outputs(label: str, old: dict, new: dict) -> list:
     return lines
 
 
+def summary(count: int, runs: int, lines: list) -> str:
+    """The closing line over the difference ``lines``: how many outputs differ, how many
+    of them only in numbers, and the largest absolute and relative change among those."""
+    if not lines:
+        return f"{count} outputs of {runs} runs compared: all identical"
+    sized = [m.groups() for m in map(SIZED.search, lines) if m]
+    text = f"{count} outputs of {runs} runs compared: {len(lines)} differ ({len(sized)} numbers only"
+    if sized:
+        text += (f", largest change {max(float(a) for a, _ in sized):.3g} absolute, "
+                 f"{max(float(r) for _, r in sized):.3g} relative")
+    return text + ")"
+
+
 def compare_trees(old_tree: Path, new_tree: Path, jobs, blas_threads: int = 1) -> tuple[int, list]:
     """(number of outputs compared, difference lines) over ``jobs``, ``new_tree`` at
     ``blas_threads`` BLAS threads."""
@@ -120,8 +135,7 @@ def main(argv=None) -> int:
     count, lines = compare_trees(args.old_tree, args.new_tree, jobs, args.blas_threads)
     for line in lines:
         print(line)
-    print(f"{count} outputs of {len(jobs)} runs compared: "
-          + (f"{len(lines)} differ" if lines else "all identical"))
+    print(summary(count, len(jobs), lines))
     return 1 if lines else 0
 
 

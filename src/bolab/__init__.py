@@ -4,7 +4,7 @@ model molecules, verified against an exact two-body diagonalization oracle."""
 from .grid import Grid1D, GridFunction, build_grid
 from .model import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
                     analytic_normal_modes, evaluate_potential, kappa)
-from .clamped import ElectronicField, HeavyReport, heavy_gap_report, scan_pes, solve_clamped_slice
+from .clamped import ElectronicField, HeavyReport, heavy_gap_report, scan_pes
 from .bo import (NuclearSolution, ProductState, adiabatic_residual,
                  assemble_product_state, solve_nuclear, t1_coupling_matrix)
 from .exact import FullHamiltonian, SolverError, assemble_full_hamiltonian, rayleigh_quotient, solve_exact
@@ -18,7 +18,7 @@ __all__ = [
     "Grid1D", "GridFunction", "build_grid",
     "ModelSpec", "HarmonicCoupling", "SoftCoulomb", "SeparableHarmonic",
     "evaluate_potential", "kappa", "analytic_normal_modes",
-    "ElectronicField", "HeavyReport", "scan_pes", "solve_clamped_slice", "heavy_gap_report",
+    "ElectronicField", "HeavyReport", "scan_pes", "heavy_gap_report",
     "NuclearSolution", "ProductState", "solve_nuclear", "assemble_product_state",
     "adiabatic_residual", "t1_coupling_matrix",
     "FullHamiltonian", "SolverError", "assemble_full_hamiltonian", "solve_exact", "rayleigh_quotient",

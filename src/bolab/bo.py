@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clamped import ElectronicField
-from .grid import Grid1D, GridFunction, _lowest_eigenpairs, central_difference, kinetic_diagonals
+from .grid import Grid1D, GridFunction, central_difference, kinetic_diagonals, slice_eigenpairs
 from .model import ModelSpec
 
 
@@ -62,8 +62,8 @@ class ResidualReport:
 def solve_nuclear(field: ElectronicField, spec: ModelSpec, a: int, n_levels: int) -> NuclearSolution:
     """Lowest n_levels eigenpairs of the heavy particle on surface ``a``.
 
-    One ``grid._lowest_eigenpairs`` call on kinetic_diagonals(grid1, M) + lambda_a: Ritz
-    values within 16 eps |T| of the true ones by its residual gate, vectors signed by
+    A one-row ``grid.slice_eigenpairs`` call on -(1/2M) d^2/dx1^2 + lambda_a: Ritz values
+    within ``grid.ritz_error_bound`` of the true ones by its residual gate, vectors signed by
     ``fix_signs`` and rescaled to unit h1-norm. A non-finite surface, or a gate failure,
     is a RuntimeError naming the surface.
     """
@@ -72,10 +72,9 @@ def solve_nuclear(field: ElectronicField, spec: ModelSpec, a: int, n_levels: int
     g1 = field.grid1
     if not 1 <= n_levels <= g1.n:
         raise ValueError(f"need 1 <= n_levels <= n1, got {n_levels}")
-    diag, off = kinetic_diagonals(g1, spec.M)
     vecs = np.empty((n_levels, 1, g1.n))
     try:
-        vals = _lowest_eigenpairs((diag + field.energies[a])[None], off, n_levels, vecs)[:, 0]
+        vals = slice_eigenpairs(g1, spec.M, field.energies[a][None], n_levels, vecs)[0][:, 0]
     except RuntimeError as exc:  # the solver numbers this one matrix as its slice 0
         raise RuntimeError(f"nuclear eigensolve failed on surface {a}") from exc
     return NuclearSolution(surface_index=a, grid1=g1, energies=vals,

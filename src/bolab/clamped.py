@@ -7,10 +7,10 @@ For each heavy-coordinate value X the light particle sees the 1-D operator
 on the electronic grid. Scanning X over the nuclear grid produces the
 energy surfaces lambda_a(x1) and a family of slice eigenfunctions
 psi_a(x1; x2), sign-fixed along x1 so consecutive slices overlap with
-non-negative real part. Every slice, one or all n1 of them, goes through
-the batched tridiagonal solver of :mod:`bolab.grid`, so lambda_a are Ritz
-values, each within its residual norm of an exact slice eigenvalue and
-inside that eigenvalue's bisection bracket. Where W is even under inversion,
+non-negative real part. The slices go through one call of the batched
+tridiagonal solver of :mod:`bolab.grid`, so lambda_a are Ritz values, each
+within ``grid.ritz_error_bound`` of an exact slice eigenvalue and inside that
+eigenvalue's bisection bracket. Where W is even under inversion,
 the slice at -X is the slice at X reflected in x2, so half the slices are
 solved and half mirrored. The surfaces feed the nuclear solves in
 :mod:`bolab.bo`; the gap report quantifies whether adjacent surfaces stay far
@@ -81,16 +81,6 @@ class HeavyReport:
     ratio: float
     heavy_ok: bool
     threshold: float
-
-
-def solve_clamped_slice(spec: ModelSpec, grid2: Grid1D, X: float, A: int):
-    """Lowest A eigenpairs of H_cl(X); energies ascending, states h2-normalized.
-
-    Returns ``(energies, states)`` with states of shape (A, n2): the scan's
-    solve for one slice, so it gives the same bits as a slice ``scan_pes`` solves.
-    """
-    energies, states, _ = _solve_slices(spec, grid2, np.array([X], dtype=float), A)
-    return energies[:, 0], states[:, 0]
 
 
 def _solve_slices(spec: ModelSpec, grid2: Grid1D, X: np.ndarray, A: int):

@@ -31,8 +31,8 @@ from .bo import (NuclearSolution, ProductState, adiabatic_residual,
 from .clamped import ElectronicField, HeavyReport, heavy_gap_report, scan_pes
 from .exact import (DEFAULT_SEED, FullHamiltonian, assemble_full_hamiltonian,
                     rayleigh_quotient, solve_exact)
-from .grid import (_EPS, _GATE_ULPS, Grid1D, GridFunction, central_difference,
-                   kinetic_diagonals, second_difference)
+from .grid import (Grid1D, GridFunction, central_difference, kinetic_diagonals, ritz_error_bound,
+                   second_difference)
 from .model import ModelSpec, kappa, potential_to_dict
 from .projection import build_projector, solve_effective
 
@@ -300,7 +300,7 @@ class Run:
     ``uncertainty`` and ``row``. The row's heavy report spans ``nuclear_region`` of
     the nuclear ground state, takes its first level spacing as the kinetic scale
     (its kinetic expectation at one level, or where the spacing is within the two
-    levels' Ritz error bound, 32 eps |T1 + diag lambda_0|), and needs A >= 2.
+    levels' Ritz error bounds, 2 ``grid.ritz_error_bound``), and needs A >= 2.
     ``heff(ranks)`` and ``report(**fields)`` read the stages. The scan holds no M,
     so a mass sweep passes one field to every row; a field from other grids or with
     another surface count is a ValueError. Of the oracle only the energies are
@@ -370,11 +370,10 @@ class Run:
         t1_cands = t1_scale_candidates(sol0, spec.M)
         # the spacing counts only above its two Ritz values' error bound, the solver's gate
         d, e = kinetic_diagonals(self.grid1, spec.M)
-        norm = np.abs(d + self.field.energies[0]).max() + 2.0 * np.abs(e).max()
         spacing = t1_cands.get("level_spacing", 0.0)
+        resolved = spacing > 2.0 * ritz_error_bound(d + self.field.energies[0], e)
         heavy = heavy_gap_report(self.field, nuclear_region(sol0.theta(0)),
-                                 spacing if spacing > 2.0 * _GATE_ULPS * _EPS * norm
-                                 else t1_cands["kinetic_expectation"])
+                                 spacing if resolved else t1_cands["kinetic_expectation"])
         return ScalingRow(mass_ratio=spec.M / spec.m, kappa=kappa(spec),
                           bo_energy=float(sol0.energies[0]), rayleigh_quotient=rq,
                           exact_energy=float(e0), relative_error=float(abs(rq - e0) / abs(e0)),

@@ -27,8 +27,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .grid import (Grid1D, _lowest_eigenpairs, fix_signs, inversion_even, kinetic_diagonals,
-                   second_difference, slice_eigenpairs)
+from .grid import Grid1D, fix_signs, inversion_even, kinetic_diagonals, second_difference, slice_eigenpairs
 from .model import ModelSpec, evaluate_potential
 
 MAX_PRODUCT_DIM = 120_000   # guard against accidentally huge product grids
@@ -108,13 +107,12 @@ def _bo_lower_bound(h: FullHamiltonian, lam0=None) -> float:
     ``lam0`` defaults to H's own pieces: the slices' ground Ritz values from the scan's
     ``grid.slice_eigenpairs`` (half of them mirrored, within 64 eps max|W|, if W is
     inversion-even), so a one-surface scan of the same model and grids gives the same
-    bits. Then one solve on the heavy grid by the same solver: a gated Ritz value,
-    within 16 eps |T| of the true bound. Both errors are far inside the shift offset.
+    bits. Then a one-row solve on the heavy grid by the same solver: a gated Ritz value,
+    within ``grid.ritz_error_bound`` of the true bound. Both are far inside the shift offset.
     """
     if lam0 is None:
         lam0 = slice_eigenpairs(h.grid2, h.mass2, h.potential_grid, 1)[0][0]
-    d1, e1 = kinetic_diagonals(h.grid1, h.mass1)
-    return float(_lowest_eigenpairs((d1 + lam0)[None], e1, 1)[0, 0])
+    return float(slice_eigenpairs(h.grid1, h.mass1, lam0[None], 1)[0][0, 0])
 
 
 def _certify_above(d: np.ndarray, e: np.ndarray, mu: np.ndarray) -> None:

@@ -143,15 +143,20 @@ def inversion_even(w: np.ndarray) -> bool:
                 and np.abs(w - w[::-1, ::-1]).max() <= _SYMMETRY_ULPS * _EPS * np.abs(w).max())
 
 
+def ritz_error_bound(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Per row of ``d``, the solver's gate on |Ritz value - eigenvalue|: _GATE_ULPS eps |T|."""
+    return _GATE_ULPS * _EPS * (np.abs(d).max(axis=-1) + 2.0 * np.abs(e).max())
+
+
 def slice_eigenpairs(grid: Grid1D, mass: float, w: np.ndarray, A: int,
                      vectors=None) -> tuple[np.ndarray, bool]:
-    """``_lowest_eigenpairs`` of the r slices -(1/2 mass) d^2/dx^2 + diag w[i] on ``grid``,
-    and whether the slices were mirrored: (energies (A, r), mirrored).
+    """``_lowest_eigenpairs`` of the r slices -(1/2 mass) d^2/dx^2 + diag w[i] on ``grid``, the
+    one way into that solver, and whether the slices were mirrored: (energies (A, r), mirrored).
 
     If ``inversion_even(w)``, slice r-1-i is slice i reversed, so only slices 0 .. ceil(r/2)-1
     are solved and slice r-1-i gets slice i's values and reversed vectors (signs as reversed):
     by Weyl's inequality within max|W - W_r| <= 64 eps max|W| of its own slice's eigenvalues,
-    besides the solver's 16 eps |T|. Any other ``w`` has all r slices solved.
+    besides the solver's ``ritz_error_bound``. Any other ``w`` has all r slices solved.
     """
     d, e = kinetic_diagonals(grid, mass)
     mirrored = inversion_even(w)
@@ -173,10 +178,11 @@ def _lowest_eigenpairs(d: np.ndarray, e: np.ndarray, A: int, vectors=None) -> np
     then _SWEEPS ``gttrs`` solves, each followed by Gram-Schmidt (twice) against the lower
     levels; (3) Rayleigh-Ritz, a batched (A, A) ``eigh`` per slice. So the values are Ritz
     values, |lambda - lambda_true| <= ||T z - lambda z||. A gate requires each residual to be
-    within _GATE_ULPS eps |T| and each value to lie in its bracket widened by as much. A slice
-    that fails (a close pair that the brackets cannot separate, cut in two by A) is solved
-    once more with brackets to eps |T|; failing again is a RuntimeError, as is a non-finite
-    entry. Each step treats each slice on its own: a slice gets the same bits in any batch.
+    within ``ritz_error_bound`` and each value to lie in its bracket widened by as much. A
+    slice that fails (a close pair that the brackets cannot separate, cut in two by A, or an
+    exact pair) is solved once more with brackets to eps |T| and level a started from the
+    start rolled by a; failing again is a RuntimeError, as is a non-finite entry. Each step
+    treats each slice on its own: a slice gets the same bits in any batch.
     """
     r, n = d.shape
     finite = np.isfinite(d).all(axis=1) & bool(np.isfinite(e).all())
@@ -187,10 +193,10 @@ def _lowest_eigenpairs(d: np.ndarray, e: np.ndarray, A: int, vectors=None) -> np
     for lo in range(0, r, _CHUNK):
         rows = slice(lo, min(r, lo + _CHUNK))
         z = np.empty((A, rows.stop - lo, n)) if vectors is None else vectors[:, rows]
-        failed = _solve_chunk(d[rows], e, start, _BRACKET_RTOL, energies[:, rows], z)
+        failed = _solve_chunk(d[rows], e, start, 0, _BRACKET_RTOL, energies[:, rows], z)
         if failed.size:
             again_e, again_z = np.empty((A, failed.size)), np.empty((A, failed.size, n))
-            still = _solve_chunk(d[rows][failed], e, start, _EPS, again_e, again_z)
+            still = _solve_chunk(d[rows][failed], e, start, 1, _EPS, again_e, again_z)
             if still.size:
                 raise RuntimeError(f"slice {lo + failed[still[0]]}: tridiagonal eigenpairs miss "
                                    "the residual gate")
@@ -198,10 +204,10 @@ def _lowest_eigenpairs(d: np.ndarray, e: np.ndarray, A: int, vectors=None) -> np
     return energies
 
 
-def _solve_chunk(d, e, start, rtol, energies, z) -> np.ndarray:
-    """One chunk of _lowest_eigenpairs with brackets to ``rtol`` |T|: writes the Ritz values
-    into ``energies`` (A, c) and the vectors into ``z`` (A, c, n); returns the indices of
-    the slices that fail the gate."""
+def _solve_chunk(d, e, start, roll, rtol, energies, z) -> np.ndarray:
+    """One chunk of _lowest_eigenpairs, brackets to ``rtol`` |T| and level a started from
+    ``start`` rolled by ``roll * a``: writes the Ritz values into ``energies`` (A, c) and the
+    vectors into ``z`` (A, c, n); returns the indices of the slices that fail the gate."""
     A, c, n = z.shape
     norm = np.abs(d).max(axis=1) + 2.0 * np.abs(e).max()
     tol = rtol * norm
@@ -210,13 +216,12 @@ def _solve_chunk(d, e, start, rtol, energies, z) -> np.ndarray:
         raise RuntimeError("tridiagonal bisection (stebz) failed")
     mid = np.stack([w[:A] for _, w, *_ in brackets])
     off = np.tile(np.append(e, 0.0), c)[:-1]
-    x0 = np.tile(start, c)
     for a in range(A):
         dl, piv, du, du2, ipiv, info = dgttrf(off, (d - mid[:, a, None]).ravel(), off)
         if info > 0:  # a shift on an eigenvalue: a tiny pivot still gives its direction
             zero = piv == 0.0
             piv[zero] = np.repeat(_EPS * norm, n)[zero]
-        x = x0
+        x = np.tile(np.roll(start, roll * a), c)
         for _sweep in range(_SWEEPS):
             x = dgttrs(dl, piv, du, du2, ipiv, x.ravel())[0].reshape(c, n)
             for _pass in range(2 if a else 0):
@@ -232,7 +237,7 @@ def _solve_chunk(d, e, start, rtol, energies, z) -> np.ndarray:
     theta, U = np.linalg.eigh(0.5 * (gram + gram.transpose(0, 2, 1)))
     y = U.transpose(0, 2, 1) @ zs
     res = U.transpose(0, 2, 1) @ tzs - theta[:, :, None] * y
-    slack = _GATE_ULPS * _EPS * norm
+    slack = ritz_error_bound(d, e)
     good = ((np.sqrt(np.einsum("rbn,rbn->rb", res, res)) <= slack[:, None]).all(axis=1)
             & (np.abs(theta - mid) <= (tol + slack)[:, None]).all(axis=1))
     energies[:] = theta.T

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from bolab.clamped import (CROSSING_OVERLAP, DEGENERACY_RTOL, ElectronicField, heavy_gap_report,
-                           phase_fix, scan_pes, solve_clamped_slice)
+from bolab.clamped import (CROSSING_OVERLAP, DEGENERACY_RTOL, ElectronicField, _solve_slices,
+                           heavy_gap_report, phase_fix, scan_pes)
 from bolab.grid import _EPS, _lowest_eigenpairs, build_grid, inversion_even, kinetic_diagonals
 from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
                          evaluate_potential)
@@ -19,10 +19,16 @@ def _harmonic_spec(M=2000.0, m=1.0, k1=1.0, k2=1.0):
     return ModelSpec(M=M, m=m, potential=HarmonicCoupling(k1, k2))
 
 
+def _one_slice(spec, grid2, X, A):
+    """(energies (A,), h2-normalized states (A, n2)) of the slice at X, by the scan's solver."""
+    energies, states, _ = _solve_slices(spec, grid2, np.array([X], dtype=float), A)
+    return energies[:, 0], states[:, 0]
+
+
 def test_slice_levels_at_origin():
     spec = _harmonic_spec()
     g2 = build_grid(-8.0, 8.0, 1024)
-    energies, states = solve_clamped_slice(spec, g2, 0.0, 3)
+    energies, states = _one_slice(spec, g2, 0.0, 3)
     # oscillator ladder (a + 1/2) sqrt(k2/m); no heavy-confinement shift at X=0
     assert energies[0] == pytest.approx(0.5, abs=1e-4)
     assert energies[1] == pytest.approx(1.5, abs=1e-4)
@@ -34,7 +40,7 @@ def test_slice_levels_at_origin():
 def test_slice_shifted_by_heavy_confinement():
     spec = _harmonic_spec()
     g2 = build_grid(-6.0, 10.0, 512)  # window follows the displaced well
-    energies, _ = solve_clamped_slice(spec, g2, 2.0, 1)
+    energies, _ = _one_slice(spec, g2, 2.0, 1)
     assert energies[0] == pytest.approx(2.5, abs=1e-4)
 
 
@@ -43,7 +49,7 @@ def test_slice_soft_coulomb_ground_two_resolution():
     values = {}
     for n2 in (128, 256):
         g2 = build_grid(-12.0, 12.0, n2)
-        energies, _ = solve_clamped_slice(spec, g2, 0.0, 1)
+        energies, _ = _one_slice(spec, g2, 0.0, 1)
         values[n2] = energies[0]
     assert values[256] == pytest.approx(SOFT_COULOMB_E0, abs=1e-4)
     rho_sq = (257.0 / 129.0) ** 2
@@ -55,9 +61,9 @@ def test_slice_rejects_bad_surface_count():
     spec = _harmonic_spec()
     g2 = build_grid(-5.0, 5.0, 16)
     with pytest.raises(ValueError):
-        solve_clamped_slice(spec, g2, 0.0, 17)
+        _one_slice(spec, g2, 0.0, 17)
     with pytest.raises(ValueError):
-        solve_clamped_slice(spec, g2, 0.0, 0)
+        _one_slice(spec, g2, 0.0, 0)
 
 
 def test_scan_surfaces_fit_closed_form():
@@ -215,10 +221,10 @@ def test_single_slice_solve_is_the_scans_slice():
     for i in (0, 33, 64, 69):
         mirrored = i >= (g1.n + 1) // 2
         source = g1.n - 1 - i if mirrored else i
-        energies, states = solve_clamped_slice(spec, g2, g1.points[source], 3)
+        energies, states = _one_slice(spec, g2, g1.points[source], 3)
         if mirrored:
             states = states[:, ::-1]
-            own = solve_clamped_slice(spec, g2, g1.points[i], 3)[0]
+            own = _one_slice(spec, g2, g1.points[i], 3)[0]
             assert np.abs(own - field.energies[:, i]).max() <= weyl
         assert energies.tobytes() == field.energies[:, i].tobytes()
         signs = np.sign(np.sum(states * field.states[:, i], axis=1))
@@ -229,8 +235,8 @@ def test_variational_box_monotonicity():
     # enlarging the electronic box can only lower the ground surface, up to
     # the (here tiny) change in discretization error
     spec = _harmonic_spec()
-    small = solve_clamped_slice(spec, build_grid(-6.0, 6.0, 120), 0.0, 1)[0][0]
-    large = solve_clamped_slice(spec, build_grid(-8.0, 8.0, 160), 0.0, 1)[0][0]
+    small = _one_slice(spec, build_grid(-6.0, 6.0, 120), 0.0, 1)[0][0]
+    large = _one_slice(spec, build_grid(-8.0, 8.0, 160), 0.0, 1)[0][0]
     assert large <= small + 1e-6
 
 
@@ -271,7 +277,7 @@ def test_mirrored_slices_match_their_own_solves(potential, n1):
     bound = (16.0 * _EPS * (np.abs(d + w).max() + 2.0 * np.abs(e).max())
              + np.abs(w - w[::-1, ::-1]).max())
     for i in range((n1 + 1) // 2, n1):
-        energies, states = solve_clamped_slice(spec, g2, g1.points[i], 3)
+        energies, states = _one_slice(spec, g2, g1.points[i], 3)
         assert np.abs(energies - field.energies[:, i]).max() <= bound
         signs = np.sign(np.sum(states * field.states[:, i], axis=1))[:, None]
         assert np.abs(signs * states - field.states[:, i]).max() <= 1e-13

@@ -562,6 +562,12 @@ def test_compare_at_vanishing_level_spacing_exits_0(tmp_path, mass):
     assert row["heavy"]["t1_scale"] == row["t1_candidates"]["kinetic_expectation"] > 0.0
 
 
+def test_scaling_with_exactly_degenerate_nuclear_levels_exits_0(tmp_path):
+    # at M = m = 1e20 the first row's two lowest nuclear levels are equal to the last bit
+    path = _with_masses(tmp_path, "scaling_harmonic.json", M=1e20, m=1e20)
+    assert _run("scaling", path, tmp_path / "out") == 0
+
+
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
 def test_bundled_configs_load_across_the_benchmark_masses(tmp_path, config):
     for M in (1.0, 2000.0):

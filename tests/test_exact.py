@@ -180,9 +180,10 @@ def test_bo_lower_bound_is_the_pipeline_bo_energy(harmonic2000, separable_run,
 
 
 def test_bo_lower_bound_solves_half_the_slices_of_a_centred_box(solved_rows, harmonic2000):
-    # lambda_0 from H's own pieces: one call on ceil(n1/2) slices, the rest mirrored
+    # lambda_0 from H's own pieces: one call on ceil(n1/2) slices, the rest mirrored; then
+    # the one-row heavy solve
     _bo_lower_bound(harmonic2000.hamiltonian)
-    assert solved_rows == [(harmonic2000.hamiltonian.grid1.n + 1) // 2]
+    assert solved_rows == [(harmonic2000.hamiltonian.grid1.n + 1) // 2, 1]
 
 
 def test_bo_lower_bound_is_exact_for_a_separable_potential(separable_run):
@@ -383,13 +384,13 @@ def test_pipeline_with_a_field_solves_the_light_problem_once(monkeypatch):
     spec = _harmonic(M=50.0)
     g1, g2 = build_grid(-2.0, 2.0, 32), build_grid(-6.0, 6.0, 32)
     field = scan_pes(spec, g1, g2, 2)
-    calls, solve = [], exact._lowest_eigenpairs
+    calls, solve = [], exact.slice_eigenpairs
 
-    def counted(d, *args, **kwargs):
-        calls.append(d.shape)
-        return solve(d, *args, **kwargs)
+    def counted(grid, mass, w, *args, **kwargs):
+        calls.append(w.shape)
+        return solve(grid, mass, w, *args, **kwargs)
 
-    monkeypatch.setattr(exact, "_lowest_eigenpairs", counted)
+    monkeypatch.setattr(exact, "slice_eigenpairs", counted)
     run_pipeline(spec, g1, g2, 2, field=field)
     assert calls == [(1, g1.n)]
 

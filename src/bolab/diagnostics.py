@@ -367,6 +367,8 @@ class Run:
         spec, sol0 = self.spec, self.nuclear[0]
         rq = rayleigh_quotient(self.hamiltonian, self.product_states[0].amplitudes)
         e0 = self.exact_energies[0]
+        if e0 == 0.0:
+            raise RuntimeError("oracle ground energy E_exact = 0.0: its relative error is undefined")
         t1_cands = t1_scale_candidates(sol0, spec.M)
         # the spacing counts only above its two Ritz values' error bound, the solver's gate
         d, e = kinetic_diagonals(self.grid1, spec.M)

@@ -204,7 +204,7 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
     A11 - A12 J, each of dimension n1 n2 / 2 and exactly symmetric, and each is factored and
     solved on its own. H_s - sigma has non-positive off-diagonals on a connected stencil, so
     by Perron-Frobenius its ground state is even: the even sector gives k levels and the odd
-    k - 1 (none at k = 1), merged by energy. The only approximation is Weyl's
+    k - 1 (not built at k = 1), merged by energy. The only approximation is Weyl's
     |E(H) - E(H_s)| <= max|W - W_s| <= 32 eps max|W|, at round-off level and far inside the
     shift offset, so the same sigma serves both sectors. Any other W, and a grid whose centre
     point is its own mirror image (n1, n2 both odd), takes the full operator.
@@ -224,11 +224,9 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
     if dim % 2 == 0 and inversion_even(w):
         hs_s, half = replace(h, potential_grid=0.5 * (w + w_r)).as_sparse, dim // 2
         a11, a12j = hs_s[:half, :half], hs_s[:half, half:][:, ::-1]
-        sectors = [(a11 + a12j, k, 1.0), (a11 - a12j, k - 1, -1.0)]
+        sectors = [(a11 + a12j, k, 1.0)] + ([(a11 - a12j, k - 1, -1.0)] if k > 1 else [])
     vals, vecs = [], []
     for op, levels, parity in sectors:
-        if levels == 0:
-            continue
         v, x = _lowest_above(e_bo, op.shape[0], _symmetric_factor(op), levels, seed)
         vals.append(v)
         vecs.append(np.vstack([x, parity * x[::-1]]) / math.sqrt(2.0) if parity else x)

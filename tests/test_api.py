@@ -1,9 +1,13 @@
 """The public package surface."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bolab
+from tests.conftest import CONFIG_DIR, REPO
 
 SOLVER_INTERNALS = {"_lowest_eigenpairs", "_EPS", "_GATE_ULPS"}
 
@@ -29,3 +33,53 @@ def test_only_grid_reaches_the_tridiagonal_solver_internals():
         if names & SOLVER_INTERNALS:
             named[path.name] = sorted(names & SOLVER_INTERNALS)
     assert named == {}
+
+
+def _fresh_python(*args):
+    """A fresh interpreter with this tree's src/ first on its path."""
+    src, path = str(REPO / "src"), os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_import_skips_numpys_unused_lazy_submodules():
+    # the scipy imports happen in bolab's import, not later, and numpy is left as it was
+    proc = _fresh_python("-c", """
+import sys, numpy
+all_, dir_ = numpy.__all__, numpy.__dir__
+import bolab
+assert numpy.__all__ is all_ and numpy.__dir__ is dir_
+loaded = [m for m in ("numpy.f2py", "numpy.testing", "numpy.ma", "numpy.polynomial")
+          if m in sys.modules]
+assert loaded == [], loaded
+assert "scipy.linalg" in sys.modules and "scipy.sparse.linalg" in sys.modules
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_after_scipy_linalg_runs_compare(tmp_path):
+    proc = _fresh_python("-c", "import sys, scipy.linalg, bolab.cli; sys.exit(bolab.cli.main(sys.argv[1:]))",
+                         "compare", "--config", str(CONFIG_DIR / "separable.json"), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report.json").is_file()
+
+
+def test_failed_scipy_import_restores_numpy():
+    proc = _fresh_python("-c", """
+import sys, numpy
+all_, dir_ = numpy.__all__, numpy.__dir__
+sys.modules["scipy.sparse.linalg"] = None
+try:
+    import bolab
+except ImportError:
+    pass
+else:
+    raise AssertionError("import bolab succeeded without scipy.sparse.linalg")
+assert numpy.__all__ is all_ and numpy.__dir__ is dir_
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_raises_no_warning():
+    proc = _fresh_python("-W", "error", "-c", "import bolab, bolab.cli")
+    assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from dataclasses import replace
 from operator import attrgetter
 
 import numpy as np
@@ -150,6 +151,23 @@ def test_compare_solves_the_oracle_at_k_1(tmp_path, monkeypatch):
     assert ks == [1, 1]
     k3, k1 = ((tmp_path / name / "report.json").read_bytes() for name in ("k3", "k1"))
     assert k3 == k1
+
+
+def test_compare_with_a_zero_oracle_ground_energy_exits_3(tmp_path, capsys, monkeypatch):
+    # the relative error |RQ - E_exact| / |E_exact| is undefined: a named solver failure,
+    # not a division warning and a non-finite value at serialization
+    from bolab import diagnostics
+
+    real = diagnostics.solve_exact
+    monkeypatch.setattr(diagnostics, "solve_exact",
+                        lambda h, k, **kwargs: replace(real(h, k, **kwargs), energies=np.zeros(k)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run("compare", CONFIG_DIR / "separable.json", tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: oracle ground energy E_exact = 0.0")
+    assert "RuntimeWarning" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize("heavy", [{}, {"region": "auto", "t1_scale": "auto", "ratio_threshold": 10.0},

@@ -10,19 +10,19 @@ psi_a(x1; x2), sign-fixed along x1 so consecutive slices overlap with
 non-negative real part. The slices go through one call of the batched
 tridiagonal solver of :mod:`bolab.grid`, so lambda_a are Ritz values, each
 within ``grid.ritz_error_bound`` of an exact slice eigenvalue and inside that
-eigenvalue's bisection bracket. Where W is even under inversion,
-the slice at -X is the slice at X reflected in x2, so half the slices are
-solved and half mirrored. The surfaces feed the nuclear solves in
-:mod:`bolab.bo`; the gap report quantifies whether adjacent surfaces stay far
-apart compared to the heavy particle's kinetic-energy scale over the region
-where its wavefunction lives.
+eigenvalue's bisection bracket. The slices read the oracle's W, from
+``grid.even_potential``: where it is inversion-even, the slice at -X is the
+slice at X reflected in x2, so half the slices are solved and half mirrored.
+The surfaces feed the nuclear solves in :mod:`bolab.bo`; the gap report
+quantifies whether adjacent surfaces stay far apart compared to the heavy
+particle's kinetic-energy scale over the region where its wavefunction lives.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid1D, GridFunction, slice_eigenpairs
+from .grid import Grid1D, GridFunction, even_potential, slice_eigenpairs
 from .model import ModelSpec, evaluate_potential
 
 # Adjacent slice eigenvalues closer than this (relative to the local scale)
@@ -87,14 +87,14 @@ def _solve_slices(spec: ModelSpec, grid2: Grid1D, X: np.ndarray, A: int):
     """(energies (A, r), h2-normalized states (A, r, n2), mirrored) of H_cl at the r points ``X``.
 
     H_cl is tridiagonal (3-point stencil plus a diagonal potential), so all r
-    slices go through one ``grid.slice_eigenpairs`` call, which also says whether
-    it mirrored half of them; a failure is a RuntimeError.
+    slices of ``grid.even_potential``'s W go through one ``grid.slice_eigenpairs`` call,
+    which also says whether it mirrored half of them; a failure is a RuntimeError.
     """
     if not 1 <= A <= grid2.n:
         raise ValueError(f"need 1 <= A <= n2, got A = {A}, n2 = {grid2.n}")
     states = np.empty((A, len(X), grid2.n))
-    energies, mirrored = slice_eigenpairs(grid2, spec.m,
-                                          evaluate_potential(spec, X[:, None], grid2.points), A, states)
+    w = even_potential(evaluate_potential(spec, X[:, None], grid2.points))
+    energies, mirrored = slice_eigenpairs(grid2, spec.m, w, A, states)
     states /= np.sqrt(grid2.h)  # unit Euclidean vectors to the h2-weighted norm
     return energies, states, mirrored
 

@@ -157,7 +157,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     for name in ("grid1", "grid2"):
         try:
             fields[name] = build_grid(**fields[name])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"{name}: {exc}") from exc
     del fields["heavy"]
     cfg = RunConfig(**fields)

@@ -12,22 +12,22 @@ solver, one level per heavy point), or from a caller's scan as a hint that
 a banded Cholesky of the slices certifies before it is used, so the shift
 is verified rather than trusted. H - sigma I is then positive definite and factored
 unpivoted (``projection`` shares this route). Every potential family is even under
-(x1, x2) -> (-x1, -x2), so on a box centred at the origin H, with W point-symmetrised
-(a round-off change, bounded by Weyl's inequality), splits into an even and an odd
-sector of half the dimension; each is factored on its own, the ground state is even
-(Perron-Frobenius), and any other grid takes the full operator. Grid sums run in a
-fixed order, whatever the BLAS thread count.
+(x1, x2) -> (-x1, -x2), and on a box centred at the origin ``grid.even_potential`` makes
+the sampled W, the scan's too, exactly so; then H splits into an even and an odd sector
+of half the dimension, each factored on its own, and the ground state is even
+(Perron-Frobenius). Any other grid takes the full operator. Grid sums run in a fixed
+order, whatever the BLAS thread count.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .grid import Grid1D, fix_signs, inversion_even, kinetic_diagonals, second_difference, slice_eigenpairs
+from .grid import Grid1D, even_potential, fix_signs, kinetic_diagonals, second_difference, slice_eigenpairs
 from .model import ModelSpec, evaluate_potential
 
 MAX_PRODUCT_DIM = 120_000   # guard against accidentally huge product grids
@@ -82,13 +82,13 @@ class FullHamiltonian:
 
 
 def assemble_full_hamiltonian(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D) -> FullHamiltonian:
-    """Build H = T1 + T2 + W on the product of the two grids."""
+    """Build H = T1 + T2 + W on the product of the two grids, W from ``grid.even_potential``."""
     dim = grid1.n * grid2.n
     if dim > MAX_PRODUCT_DIM:
         raise ValueError(f"product dimension {dim} exceeds the desk-scale guard {MAX_PRODUCT_DIM}")
     w = evaluate_potential(spec, grid1.points[:, None], grid2.points[None, :])
     return FullHamiltonian(grid1=grid1, grid2=grid2, mass1=spec.M, mass2=spec.m,
-                           potential_grid=np.asarray(w, dtype=float))
+                           potential_grid=even_potential(np.asarray(w, dtype=float)))
 
 
 @dataclass
@@ -105,8 +105,8 @@ def _bo_lower_bound(h: FullHamiltonian, lam0=None) -> float:
     H >= (T1 + diag lambda_0) (x) I and the ground energy of T1 + lambda_0
     cannot exceed the lowest eigenvalue of H (Brattsev 1965, Epstein 1966).
     ``lam0`` defaults to H's own pieces: the slices' ground Ritz values from the scan's
-    ``grid.slice_eigenpairs`` (half of them mirrored, within 64 eps max|W|, if W is
-    inversion-even), so a one-surface scan of the same model and grids gives the same
+    ``grid.slice_eigenpairs`` (half of them mirrored if W is inversion-even), so a
+    one-surface scan of the same model and grids, which reads the same W, gives the same
     bits. Then a one-row solve on the heavy grid by the same solver: a gated Ritz value,
     within ``grid.ritz_error_bound`` of the true bound. Both are far inside the shift offset.
     """
@@ -197,21 +197,19 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
     then positive definite, so its unpivoted symmetric-mode factorization (an LDL^T, built
     once per operator) is ARPACK's OPinv.
 
-    Inversion parity. If ``grid.inversion_even(W)``, W matching W[::-1, ::-1] to 64 eps
-    max|W|, and n1 n2 is even, H_s, H with the point-symmetrised W_s = (W + W_r) / 2,
-    commutes with the flat-index reversal J, (i, j) -> (n1-1-i, n2-1-j). With [[A11, A12],
-    [A21, A22]] its halves, H_s splits into the even sector A11 + A12 J and the odd sector
-    A11 - A12 J, each of dimension n1 n2 / 2 and exactly symmetric, and each is factored and
-    solved on its own. H_s - sigma has non-positive off-diagonals on a connected stencil, so
+    Inversion parity. If W equals W[::-1, ::-1] bit for bit (``assemble_full_hamiltonian``
+    makes it so where it is to round-off) and n1 n2 is even, H commutes with the flat-index
+    reversal J, (i, j) -> (n1-1-i, n2-1-j). With [[A11, A12], [A21, A22]] its halves, H
+    splits into the even sector A11 + A12 J and the odd sector A11 - A12 J, each of
+    dimension n1 n2 / 2 and exactly symmetric, and each is factored and solved on its own
+    from the same sigma. H - sigma has non-positive off-diagonals on a connected stencil, so
     by Perron-Frobenius its ground state is even: the even sector gives k levels and the odd
-    k - 1 (not built at k = 1), merged by energy. The only approximation is Weyl's
-    |E(H) - E(H_s)| <= max|W - W_s| <= 32 eps max|W|, at round-off level and far inside the
-    shift offset, so the same sigma serves both sectors. Any other W, and a grid whose centre
-    point is its own mirror image (n1, n2 both odd), takes the full operator.
+    k - 1 (not built at k = 1), merged by energy. Any other W, and a grid whose centre point
+    is its own mirror image (n1, n2 both odd), takes the full operator.
     Most supernodes of these grid factors are 1-4 columns wide, so 5-column panels
     factor them in 13-23% less time than SuperLU's default 20, with the same fill.
-    Residuals are verified against the unsymmetrised H, ``|H v - E v| <= 1e-9 |E|``, and
-    reported. A failed factorization or Lanczos run is a SolverError.
+    Residuals are verified against H, ``|H v - E v| <= 1e-9 |E|``, and reported. A failed
+    factorization or Lanczos run is a SolverError.
     """
     if not 1 <= k <= 20:
         raise ValueError("k must be between 1 and 20 (desk scale)")
@@ -219,11 +217,10 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
     if k >= dim:
         raise ValueError("k must be smaller than the product dimension")
     e_bo = _bo_lower_bound(h) if lam0 is None else _certified_bo_bound(h, lam0)
-    hs, w, w_r = h.as_sparse, h.potential_grid, h.potential_grid[::-1, ::-1]
+    hs, w, half = h.as_sparse, h.potential_grid, dim // 2
     sectors = [(hs, k, 0.0)]  # (operator, levels, parity); parity 0 is the full operator
-    if dim % 2 == 0 and inversion_even(w):
-        hs_s, half = replace(h, potential_grid=0.5 * (w + w_r)).as_sparse, dim // 2
-        a11, a12j = hs_s[:half, :half], hs_s[:half, half:][:, ::-1]
+    if dim % 2 == 0 and np.array_equal(w, w[::-1, ::-1]):
+        a11, a12j = hs[:half, :half], hs[:half, half:][:, ::-1]
         sectors = [(a11 + a12j, k, 1.0)] + ([(a11 - a12j, k - 1, -1.0)] if k > 1 else [])
     vals, vecs = [], []
     for op, levels, parity in sectors:

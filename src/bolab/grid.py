@@ -7,8 +7,9 @@ Dirichlet stencil (axis-0 applies and the kinetic tridiagonal), the
 h-weighted norm that makes sampled wavefunctions behave like L2 vectors,
 the one solver for the lowest eigenpairs of every tridiagonal problem (the
 scan's slices, the nuclear levels and the oracle's Born-Oppenheimer bound),
-and the sign convention of every computed eigenvector. No other module
-writes the stencil out.
+the sign convention of every computed eigenvector, and the one inversion-even
+sampled potential that the scan and the oracle read. No other module writes
+the stencil out.
 
 Units are hbar = 1 throughout; one coordinate per particle.
 """
@@ -143,6 +144,16 @@ def inversion_even(w: np.ndarray) -> bool:
                 and np.abs(w - w[::-1, ::-1]).max() <= _SYMMETRY_ULPS * _EPS * np.abs(w).max())
 
 
+def even_potential(w: np.ndarray) -> np.ndarray:
+    """The sampled potential ``w`` (n1, n2), made exactly inversion-even where
+    ``inversion_even(w)``: the second half of its row-major entries becomes the first half
+    reversed, in place for a C-contiguous ``w``. Rows 0 .. n1//2 - 1 keep their bits."""
+    flat, half = w.ravel(), w.size // 2
+    if inversion_even(w):
+        flat[::-1][:half] = flat[:half]
+    return flat.reshape(w.shape)
+
+
 def ritz_error_bound(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Per row of ``d``, the solver's gate on |Ritz value - eigenvalue|: _GATE_ULPS eps |T|."""
     return _GATE_ULPS * _EPS * (np.abs(d).max(axis=-1) + 2.0 * np.abs(e).max())
@@ -154,9 +165,9 @@ def slice_eigenpairs(grid: Grid1D, mass: float, w: np.ndarray, A: int,
     one way into that solver, and whether the slices were mirrored: (energies (A, r), mirrored).
 
     If ``inversion_even(w)``, slice r-1-i is slice i reversed, so only slices 0 .. ceil(r/2)-1
-    are solved and slice r-1-i gets slice i's values and reversed vectors (signs as reversed):
-    by Weyl's inequality within max|W - W_r| <= 64 eps max|W| of its own slice's eigenvalues,
-    besides the solver's ``ritz_error_bound``. Any other ``w`` has all r slices solved.
+    are solved and slice r-1-i gets slice i's values and reversed vectors (signs as reversed).
+    The scan and the oracle pass ``even_potential``'s W, whose mirrored slices are exactly
+    the solved ones reversed. Any other ``w`` has all r slices solved.
     """
     d, e = kinetic_diagonals(grid, mass)
     mirrored = inversion_even(w)

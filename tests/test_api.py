@@ -9,7 +9,7 @@ from pathlib import Path
 import bolab
 from tests.conftest import CONFIG_DIR, REPO
 
-SOLVER_INTERNALS = {"_lowest_eigenpairs", "_EPS", "_GATE_ULPS"}
+SOLVER_INTERNALS = {"_lowest_eigenpairs", "_EPS", "_GATE_ULPS", "_SYMMETRY_ULPS"}
 
 
 def test_every_exported_name_resolves():

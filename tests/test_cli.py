@@ -531,6 +531,19 @@ def test_desk_scale_guard_is_checked_at_config_load(tmp_path, capsys):
     assert not (tmp_path / "out" / "pes.csv").exists()
 
 
+@pytest.mark.parametrize("grid", ["grid1", "grid2"])
+def test_grid_size_beyond_float_range_exits_2_naming_the_grid(tmp_path, capsys, counted_calls,
+                                                               grid):
+    # n = 10**400 is a valid JSON integer whose spacing (x_max - x_min) / (n + 1) overflows
+    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
+    cfg[grid]["n"] = 10**400
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert _run("compare", path, tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(f"config error: {grid}: ")
+    assert counted_calls == []
+
+
 def _with_masses(tmp_path, config, **masses):
     cfg = json.loads((CONFIG_DIR / config).read_text())
     cfg["model"].update(masses)

@@ -9,16 +9,16 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh
 
-from bolab import exact
+from bolab import clamped, exact
 from bolab.clamped import scan_pes
 from bolab.cli import load_config, main
 from bolab.diagnostics import run_pipeline
 from bolab.exact import (_SHIFT_OFFSET, DEFAULT_SEED, SolverError, _bo_lower_bound,
                          _certify_above, _ncv, assemble_full_hamiltonian, product_inner,
                          rayleigh_quotient, solve_exact)
-from bolab.grid import build_grid, fix_signs, kinetic_diagonals, second_difference
+from bolab.grid import build_grid, fix_signs, inversion_even, kinetic_diagonals, second_difference
 from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
-                         analytic_normal_modes)
+                         analytic_normal_modes, evaluate_potential)
 from tests.conftest import CONFIG_DIR
 
 
@@ -492,3 +492,46 @@ def test_compare_factors_one_half_dimension_matrix_on_every_bundled_config(tmp_p
     assert main(["compare", "--config", str(CONFIG_DIR / f"{config}.json"),
                  "--out", str(tmp_path)]) == 0
     assert factored_dims == [cfg.grid1.n * cfg.grid2.n // 2]
+
+
+@pytest.mark.parametrize("config", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_scan_and_oracle_read_one_exactly_even_potential(monkeypatch, config):
+    # every bundled config is a centred box: the oracle's W equals its point reflection bit
+    # for bit, and the scan solves the very same W
+    cfg = load_config(str(CONFIG_DIR / f"{config}.json"))
+    seen, solve = [], clamped.slice_eigenpairs
+
+    def spy(grid, mass, w, *args, **kwargs):
+        seen.append(w.copy())
+        return solve(grid, mass, w, *args, **kwargs)
+    monkeypatch.setattr(clamped, "slice_eigenpairs", spy)
+    scan_pes(cfg.model, cfg.grid1, cfg.grid2, 1)
+    w = assemble_full_hamiltonian(cfg.model, cfg.grid1, cfg.grid2).potential_grid
+    assert w.tobytes() == w[::-1, ::-1].tobytes()
+    assert [s.tobytes() for s in seen] == [w.tobytes()]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_oracle_assembles_one_sparse_h_per_solve(monkeypatch, k):
+    # the parity sectors are cut from the same sparse H that checks the residuals
+    h, reads, assemble = _soft_coulomb_box(), [], exact.FullHamiltonian.as_sparse.fget
+
+    def counted(self):
+        reads.append(self.dim)
+        return assemble(self)
+    monkeypatch.setattr(exact.FullHamiltonian, "as_sparse", property(counted))
+    solve_exact(h, k)
+    assert reads == [h.dim]
+
+
+def test_potential_even_only_to_round_off_takes_the_full_operator(factored_dims):
+    # a hand-built H whose W is inversion-even to a few ulps, but not bit for bit, does not
+    # commute with the flat-index reversal: the oracle factors the full operator
+    spec = ModelSpec(M=100.0, m=1.0, potential=SoftCoulomb(1.0, 1.0, 1.0))
+    g1, g2 = build_grid(-1.6, 1.6, 24), build_grid(-10.0, 10.0, 40)
+    w = evaluate_potential(spec, g1.points[:, None], g2.points[None, :])
+    assert inversion_even(w) and not np.array_equal(w, w[::-1, ::-1])
+    h = exact.FullHamiltonian(g1, g2, spec.M, spec.m, w)
+    sol = solve_exact(h, 3)
+    assert factored_dims == [h.dim]
+    assert np.allclose(sol.energies, _eigsh_reference(h, 3), rtol=1e-12, atol=0.0)

@@ -11,7 +11,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from bolab import HarmonicCoupling, ModelSpec, scan_pes
 from bolab.grid import (_CHUNK, _EPS, _GATE_ULPS, GridFunction, _lowest_eigenpairs, build_grid,
-                        central_difference, fix_signs, kinetic_diagonals, second_difference)
+                        central_difference, even_potential, fix_signs, kinetic_diagonals,
+                        second_difference)
 
 def test_spacing_from_definition():
     assert build_grid(0.0, 10.0, 99).h == pytest.approx(0.1, abs=1e-15)
@@ -267,3 +268,25 @@ def test_fix_signs_is_not_decided_by_round_off():
     rows = fix_signs(np.stack([-odd, odd, np.exp(-x * x), -np.exp(-x * x)]))
     assert np.array_equal(rows[0], rows[1]) and np.array_equal(rows[2], rows[3])
     assert np.all(rows[2] > 0)
+
+
+@pytest.mark.parametrize("n1, n2", [(8, 10), (9, 10), (9, 11)])
+def test_even_potential_mirrors_the_first_half_of_a_nearly_even_w(n1, n2):
+    # the first half of the row-major entries keeps its bits and the rest mirrors it, so
+    # the result equals its point reflection bit for bit, odd centre row and point included
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal((n1, n2))
+    w = w + w[::-1, ::-1]
+    w *= 1.0 + 4.0 * _EPS * rng.choice([-1.0, 0.0, 1.0], size=w.shape)
+    raw = w.copy()
+    even = even_potential(w)
+    kept = (w.size + 1) // 2
+    assert np.shares_memory(even, w)
+    assert even.tobytes() == even[::-1, ::-1].tobytes()
+    assert even.ravel()[:kept].tobytes() == raw.ravel()[:kept].tobytes()
+
+
+def test_even_potential_leaves_an_uneven_w_as_it_is():
+    w = np.arange(80.0).reshape(8, 10)
+    raw = w.copy()
+    assert even_potential(w).tobytes() == raw.tobytes()

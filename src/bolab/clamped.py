@@ -11,7 +11,7 @@ non-negative real part. The slices go through one call of the batched
 tridiagonal solver of :mod:`bolab.grid`, so lambda_a are Ritz values, each
 within ``grid.ritz_error_bound`` of an exact slice eigenvalue and inside that
 eigenvalue's bisection bracket. The slices read the oracle's W, from
-``grid.even_potential``: where it is inversion-even, the slice at -X is the
+``model.sample_potential``: where it is inversion-even, the slice at -X is the
 slice at X reflected in x2, so half the slices are solved and half mirrored.
 The surfaces feed the nuclear solves in :mod:`bolab.bo`; the gap report
 quantifies whether adjacent surfaces stay far apart compared to the heavy
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid1D, GridFunction, even_potential, slice_eigenpairs
-from .model import ModelSpec, evaluate_potential
+from .grid import Grid1D, GridFunction, slice_eigenpairs
+from .model import ModelSpec, sample_potential
 
 # Adjacent slice eigenvalues closer than this (relative to the local scale)
 # are treated as degenerate and aligned as a subspace.
@@ -83,22 +83,6 @@ class HeavyReport:
     threshold: float
 
 
-def _solve_slices(spec: ModelSpec, grid2: Grid1D, X: np.ndarray, A: int):
-    """(energies (A, r), h2-normalized states (A, r, n2), mirrored) of H_cl at the r points ``X``.
-
-    H_cl is tridiagonal (3-point stencil plus a diagonal potential), so all r
-    slices of ``grid.even_potential``'s W go through one ``grid.slice_eigenpairs`` call,
-    which also says whether it mirrored half of them; a failure is a RuntimeError.
-    """
-    if not 1 <= A <= grid2.n:
-        raise ValueError(f"need 1 <= A <= n2, got A = {A}, n2 = {grid2.n}")
-    states = np.empty((A, len(X), grid2.n))
-    w = even_potential(evaluate_potential(spec, X[:, None], grid2.points))
-    energies, mirrored = slice_eigenpairs(grid2, spec.m, w, A, states)
-    states /= np.sqrt(grid2.h)  # unit Euclidean vectors to the h2-weighted norm
-    return energies, states, mirrored
-
-
 def phase_fix(states: np.ndarray, energies: np.ndarray, h2: float):
     """Sign/phase sweep in ascending slice order; idempotent.
 
@@ -138,11 +122,16 @@ def phase_fix(states: np.ndarray, energies: np.ndarray, h2: float):
 def scan_pes(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, threads: int = 1) -> ElectronicField:
     """Solve the clamped slices over grid1 and assemble a phase-continuous field.
 
-    One batched call solves the slices (0 .. ceil(n1/2) - 1, the rest mirrored, if W is
-    inversion-even; the field's ``mirrored`` records which), then one sequential sweep
-    phase-fixes them. ``threads`` is accepted for compatibility and ignored.
+    The slices of ``model.sample_potential``'s W go through one ``grid.slice_eigenpairs``
+    call (0 .. ceil(n1/2) - 1, the rest mirrored, if W is inversion-even; the field's
+    ``mirrored`` records which), then one sequential sweep phase-fixes them. A ValueError
+    unless 1 <= A <= n2; a failed solve is a RuntimeError. ``threads`` is ignored.
     """
-    energies, states, mirrored = _solve_slices(spec, grid2, grid1.points, A)
+    if not 1 <= A <= grid2.n:
+        raise ValueError(f"need 1 <= A <= n2, got A = {A}, n2 = {grid2.n}")
+    states = np.empty((A, grid1.n, grid2.n))
+    energies, mirrored = slice_eigenpairs(grid2, spec.m, sample_potential(spec, grid1, grid2), A, states)
+    states /= np.sqrt(grid2.h)  # unit Euclidean vectors to the h2-weighted norm
     states, crossing, degenerate = phase_fix(states, energies, grid2.h)
     return ElectronicField(grid1=grid1, grid2=grid2, n_surfaces=A,
                            energies=energies, states=states, crossing_flags=crossing,

@@ -33,12 +33,14 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 from . import diagnostics
 from .clamped import HEAVY_RATIO_THRESHOLD
 from .diagnostics import SCHEMA_VERSION, Run
 from .exact import DEFAULT_SEED, MAX_PRODUCT_DIM, rayleigh_quotient, solve_exact
 from .grid import Grid1D, build_grid
-from .model import ModelSpec, potential_from_dict, reject_unknown
+from .model import ModelSpec, potential_from_dict, reject_unknown, sample_potential
 from .projection import build_projector, solve_effective
 from .serialize import write_csv, write_json
 
@@ -173,6 +175,10 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"{name} = {mass!r}: its kinetic scale 1/(2 mass h^2) is "
                               f"{1.0 / den if den else math.inf:.3g}, outside the solver's range "
                               f"[{1.0 / KINETIC_SCALE_MAX:g}, {KINETIC_SCALE_MAX:g}]")
+    with np.errstate(all="ignore"):  # named here, not as a numpy warning
+        finite = np.isfinite(sample_potential(cfg.model, cfg.grid1, cfg.grid2)).all()
+    if not finite:
+        raise ConfigError("model.potential: its sampled W is not finite on grid1 x grid2")
     if cfg.n_surfaces > cfg.grid2.n:
         raise ConfigError("n_surfaces cannot exceed grid2.n")
     if cfg.projector_rank > cfg.n_surfaces:
@@ -218,7 +224,7 @@ def run_bo(cfg: RunConfig, out: Path) -> list:
 
 
 def run_exact(cfg: RunConfig, out: Path) -> list:
-    sol = solve_exact(_run(cfg).hamiltonian, cfg.exact_k, seed=cfg.seed)  # no scan, no hint
+    sol = solve_exact(_run(cfg).hamiltonian, cfg.exact_k, seed=cfg.seed)  # no scan: H's own lambda_0
     write_json(out / "exact_energies.json", {
         "schema_version": SCHEMA_VERSION, "k": cfg.exact_k,
         "energies": [float(e) for e in sol.energies], "residuals": [float(r) for r in sol.residuals],

@@ -77,7 +77,6 @@ class _SineMoments:
     """
 
     def __init__(self, n: int, length: float):
-        self.n = n
         ko, ke = np.arange(1, n + 1, 2), np.arange(2, n + 1, 2)
         self.So = _dst_rows(ko, n - n // 2, n)
         self.Se = _dst_rows(ke, n // 2, n)
@@ -86,11 +85,6 @@ class _SineMoments:
         self.Q = (4.0 / length) * kl / d
         self.U2o, self.U2e = (_second_moment_block(k, length) for k in (ko, ke))
         self.q2 = (np.arange(1, n + 1) * np.pi / length) ** 2
-
-    @property
-    def S(self) -> np.ndarray:
-        """The whole (n, n) DST-I matrix, built on each read; the kernel uses So and Se."""
-        return _dst_rows(np.arange(1, self.n + 1), self.n, self.n)
 
 
 def _dst_rows(k: np.ndarray, cols: int, n: int) -> np.ndarray:
@@ -294,7 +288,7 @@ class Run:
     The stages: ``field`` (the scan, or the ``field`` passed in), ``nuclear``
     (nuclear_levels levels on surface 0, one on every other surface),
     ``product_states`` (of surface 0), ``hamiltonian``, ``exact_energies`` (the
-    oracle's lowest exact_k, shifted from the scan's lambda_0, a hint that
+    oracle's lowest exact_k, shifted from the scan's lambda_0, which
     ``solve_exact`` certifies; ``row`` and ``heff`` read only the first, so the
     reports use the default k = 1), ``residuals`` (one per surface),
     ``uncertainty`` and ``row``. The row's heavy report spans ``nuclear_region`` of

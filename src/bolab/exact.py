@@ -7,12 +7,12 @@ quotients (rows carry the heavy kinetic stencil, columns the light one,
 W acts pointwise); the eigensolver works on a sparse assembly of the same
 pieces, built from its five diagonals, by shift-invert Lanczos at every size.
 The shift sits below the Born-Oppenheimer lower bound, the ground energy of
-T1 + diag lambda_0. lambda_0 comes from H's own pieces (the scan's batched
-solver, one level per heavy point), or from a caller's scan as a hint that
-a banded Cholesky of the slices certifies before it is used, so the shift
-is verified rather than trusted. H - sigma I is then positive definite and factored
+T1 + diag lambda_0. lambda_0 comes from a caller's scan or from H's own pieces
+(the scan's batched solver, one level per heavy point); either way a banded
+Cholesky of the slices certifies it before it is used, so the shift is
+verified rather than trusted. H - sigma I is then positive definite and factored
 unpivoted (``projection`` shares this route). Every potential family is even under
-(x1, x2) -> (-x1, -x2), and on a box centred at the origin ``grid.even_potential`` makes
+(x1, x2) -> (-x1, -x2), and on a box centred at the origin ``model.sample_potential`` makes
 the sampled W, the scan's too, exactly so; then H splits into an even and an odd sector
 of half the dimension, each factored on its own, and the ground state is even
 (Perron-Frobenius). Any other grid takes the full operator. Grid sums run in a fixed
@@ -27,8 +27,8 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .grid import Grid1D, even_potential, fix_signs, kinetic_diagonals, second_difference, slice_eigenpairs
-from .model import ModelSpec, evaluate_potential
+from .grid import Grid1D, fix_signs, kinetic_diagonals, second_difference, slice_eigenpairs
+from .model import ModelSpec, sample_potential
 
 MAX_PRODUCT_DIM = 120_000   # guard against accidentally huge product grids
 RESIDUAL_RTOL = 1e-9
@@ -82,13 +82,12 @@ class FullHamiltonian:
 
 
 def assemble_full_hamiltonian(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D) -> FullHamiltonian:
-    """Build H = T1 + T2 + W on the product of the two grids, W from ``grid.even_potential``."""
+    """Build H = T1 + T2 + W on the product of the two grids, W from ``model.sample_potential``."""
     dim = grid1.n * grid2.n
     if dim > MAX_PRODUCT_DIM:
         raise ValueError(f"product dimension {dim} exceeds the desk-scale guard {MAX_PRODUCT_DIM}")
-    w = evaluate_potential(spec, grid1.points[:, None], grid2.points[None, :])
     return FullHamiltonian(grid1=grid1, grid2=grid2, mass1=spec.M, mass2=spec.m,
-                           potential_grid=even_potential(np.asarray(w, dtype=float)))
+                           potential_grid=sample_potential(spec, grid1, grid2))
 
 
 @dataclass
@@ -99,20 +98,28 @@ class ExactSolution:
 
 
 def _bo_lower_bound(h: FullHamiltonian, lam0=None) -> float:
-    """Born-Oppenheimer ground energy without the Born-Huang term: a lower bound on E_0.
+    """Born-Oppenheimer ground energy E_BO without the Born-Huang term: a lower bound on E_0.
 
     Each clamped slice obeys T2 + W[i] >= lambda_0(x1_i), so
     H >= (T1 + diag lambda_0) (x) I and the ground energy of T1 + lambda_0
     cannot exceed the lowest eigenvalue of H (Brattsev 1965, Epstein 1966).
-    ``lam0`` defaults to H's own pieces: the slices' ground Ritz values from the scan's
-    ``grid.slice_eigenpairs`` (half of them mirrored if W is inversion-even), so a
-    one-surface scan of the same model and grids, which reads the same W, gives the same
-    bits. Then a one-row solve on the heavy grid by the same solver: a gated Ritz value,
-    within ``grid.ritz_error_bound`` of the true bound. Both are far inside the shift offset.
+    ``lam0`` (n1 finite numbers, else a ValueError) is a caller's scan of the same model and
+    grids, or by default H's own slices' ground Ritz values from one ``grid.slice_eigenpairs``
+    call, the same bits as a one-surface scan. Either is certified: no slice T2 + W[i] may
+    have an eigenvalue at or below lam0[i] - delta, delta = _SHIFT_OFFSET max(1, |E_BO|) / 2,
+    or this is a SolverError. E_BO, a one-row solve on the heavy grid, is a gated Ritz value,
+    so the true BO bound lies above E_BO - delta, above the shift E_BO - 2 delta.
     """
     if lam0 is None:
         lam0 = slice_eigenpairs(h.grid2, h.mass2, h.potential_grid, 1)[0][0]
-    return float(slice_eigenpairs(h.grid1, h.mass1, lam0[None], 1)[0][0, 0])
+    lam0 = np.asarray(lam0, dtype=float)
+    if lam0.shape != (h.grid1.n,) or not np.isfinite(lam0).all():
+        raise ValueError(f"lam0 must be {h.grid1.n} finite numbers, one per heavy point")
+    e_bo = float(slice_eigenpairs(h.grid1, h.mass1, lam0[None], 1)[0][0, 0])
+    delta = 0.5 * _SHIFT_OFFSET * max(1.0, abs(e_bo))
+    d2, e2 = kinetic_diagonals(h.grid2, h.mass2)
+    _certify_above(d2 + h.potential_grid, e2, lam0 - delta)
+    return e_bo
 
 
 def _certify_above(d: np.ndarray, e: np.ndarray, mu: np.ndarray) -> None:
@@ -127,24 +134,8 @@ def _certify_above(d: np.ndarray, e: np.ndarray, mu: np.ndarray) -> None:
     if info == 0 and np.isfinite(chol[0]).all():
         return
     i = (info - 1 if info > 0 else np.flatnonzero(~np.isfinite(chol[0]))[0]) // n
-    raise SolverError(f"lambda_0 hint is not a lower bound: slice {i} is not positive definite "
+    raise SolverError(f"lambda_0 is not a lower bound: slice {i} is not positive definite "
                       f"when shifted down by {float(mu[i])!r}")
-
-
-def _certified_bo_bound(h: FullHamiltonian, lam0) -> float:
-    """``_bo_lower_bound(h, lam0)`` for a hint ``lam0`` (n1 finite numbers, else a ValueError)
-    of the slice ground energies, certified: no slice T2 + W[i] may have an eigenvalue at or
-    below lam0[i] - delta, delta = _SHIFT_OFFSET max(1, |E_BO|) / 2, or this is a SolverError.
-    The true BO bound then lies above E_BO - delta, above the shift E_BO - 2 delta.
-    """
-    lam0 = np.asarray(lam0, dtype=float)
-    if lam0.shape != (h.grid1.n,) or not np.isfinite(lam0).all():
-        raise ValueError(f"lam0 must be {h.grid1.n} finite numbers, one per heavy point")
-    e_bo = _bo_lower_bound(h, lam0)
-    delta = 0.5 * _SHIFT_OFFSET * max(1.0, abs(e_bo))
-    d2, e2 = kinetic_diagonals(h.grid2, h.mass2)
-    _certify_above(d2 + h.potential_grid, e2, lam0 - delta)
-    return e_bo
 
 
 def _ncv(k: int) -> int:
@@ -188,14 +179,12 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
                 lam0=None) -> ExactSolution:
     """Lowest k eigenpairs of the product-grid Hamiltonian.
 
-    ``_lowest_above`` with the Born-Oppenheimer lower bound. ``lam0``, the slice ground
-    energies lambda_0(x1_i) from a scan of the same model and grids, saves the n1 light
-    solves of ``_bo_lower_bound(h)``; it is a hint, certified by a banded Cholesky of the
-    slices before anything is factored (``_certified_bo_bound``). A hint that is not n1
-    finite numbers is a ValueError, and one that sits above a slice's ground energy by
-    more than half the shift offset is a SolverError, never a wrong shift. H - sigma I is
-    then positive definite, so its unpivoted symmetric-mode factorization (an LDL^T, built
-    once per operator) is ARPACK's OPinv.
+    ``_lowest_above`` with the Born-Oppenheimer lower bound ``_bo_lower_bound(h, lam0)``.
+    ``lam0``, lambda_0(x1_i) from a scan of the same model and grids, saves H's own n1 light
+    solves; either lambda_0 is certified before anything is factored, so a bad one is a
+    ValueError or a SolverError, never a wrong shift. H - sigma I is then positive
+    definite, so its unpivoted symmetric-mode factorization (an LDL^T, built once per
+    operator) is ARPACK's OPinv.
 
     Inversion parity. If W equals W[::-1, ::-1] bit for bit (``assemble_full_hamiltonian``
     makes it so where it is to round-off) and n1 n2 is even, H commutes with the flat-index
@@ -216,7 +205,7 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
     dim = h.dim
     if k >= dim:
         raise ValueError("k must be smaller than the product dimension")
-    e_bo = _bo_lower_bound(h) if lam0 is None else _certified_bo_bound(h, lam0)
+    e_bo = _bo_lower_bound(h, lam0)
     hs, w, half = h.as_sparse, h.potential_grid, dim // 2
     sectors = [(hs, k, 0.0)]  # (operator, levels, parity); parity 0 is the full operator
     if dim % 2 == 0 and np.array_equal(w, w[::-1, ::-1]):

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import Grid1D, even_potential
+
 HARMONIC_COUPLING = "harmonic_coupling"
 SOFT_COULOMB = "soft_coulomb"
 SEPARABLE_HARMONIC = "separable_harmonic"
@@ -109,6 +111,12 @@ class ModelSpec:
 def evaluate_potential(spec: ModelSpec, x1, x2):
     """W(x1, x2) for scalars or broadcastable arrays."""
     return spec.potential.evaluate(x1, x2)
+
+
+def sample_potential(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D) -> np.ndarray:
+    """W (n1, n2) on the product grid through ``grid.even_potential``: the one sampled W."""
+    w = evaluate_potential(spec, grid1.points[:, None], grid2.points[None, :])
+    return even_potential(np.asarray(w, dtype=float))
 
 
 def kappa(spec: ModelSpec) -> float:

@@ -35,6 +35,23 @@ def test_only_grid_reaches_the_tridiagonal_solver_internals():
     assert named == {}
 
 
+def test_only_grid_and_model_sample_the_potential():
+    # the scan, the oracle and the config check read W through model.sample_potential
+    sampling = {"even_potential", "evaluate_potential"}
+    named = {}
+    for path in sorted(Path(bolab.__file__).parent.glob("*.py")):
+        if path.name in ("grid.py", "model.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        if names & sampling:
+            named[path.name] = sorted(names & sampling)
+    assert named == {}
+
+
 def _fresh_python(*args):
     """A fresh interpreter with this tree's src/ first on its path."""
     src, path = str(REPO / "src"), os.environ.get("PYTHONPATH")

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from bolab.clamped import (CROSSING_OVERLAP, DEGENERACY_RTOL, ElectronicField, _solve_slices,
-                           heavy_gap_report, phase_fix, scan_pes)
-from bolab.grid import _EPS, _lowest_eigenpairs, build_grid, inversion_even, kinetic_diagonals
+from bolab.clamped import (CROSSING_OVERLAP, DEGENERACY_RTOL, ElectronicField, heavy_gap_report,
+                           phase_fix, scan_pes)
+from bolab.grid import (_EPS, _lowest_eigenpairs, build_grid, inversion_even, kinetic_diagonals,
+                        slice_eigenpairs)
 from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
                          evaluate_potential)
 
@@ -21,8 +22,10 @@ def _harmonic_spec(M=2000.0, m=1.0, k1=1.0, k2=1.0):
 
 def _one_slice(spec, grid2, X, A):
     """(energies (A,), h2-normalized states (A, n2)) of the slice at X, by the scan's solver."""
-    energies, states, _ = _solve_slices(spec, grid2, np.array([X], dtype=float), A)
-    return energies[:, 0], states[:, 0]
+    states = np.empty((A, 1, grid2.n))
+    energies, _ = slice_eigenpairs(grid2, spec.m, evaluate_potential(spec, X, grid2.points)[None],
+                                   A, states)
+    return energies[:, 0], states[:, 0] / np.sqrt(grid2.h)
 
 
 def test_slice_levels_at_origin():
@@ -59,11 +62,11 @@ def test_slice_soft_coulomb_ground_two_resolution():
 
 def test_slice_rejects_bad_surface_count():
     spec = _harmonic_spec()
-    g2 = build_grid(-5.0, 5.0, 16)
+    g1, g2 = build_grid(-1.0, 1.0, 8), build_grid(-5.0, 5.0, 16)
     with pytest.raises(ValueError):
-        _one_slice(spec, g2, 0.0, 17)
+        scan_pes(spec, g1, g2, 17)
     with pytest.raises(ValueError):
-        _one_slice(spec, g2, 0.0, 0)
+        scan_pes(spec, g1, g2, 0)
 
 
 def test_scan_surfaces_fit_closed_form():

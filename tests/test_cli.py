@@ -491,16 +491,27 @@ def test_non_finite_result_exits_3(tmp_path, monkeypatch, capsys):
     assert "solver failure: cannot serialize non-finite value nan" in capsys.readouterr().err
 
 
-def test_overflowing_potential_exits_3(tmp_path, capsys):
-    # k2 = 1e308 is a finite config value, but W overflows to inf on the grid
-    cfg = json.loads((CONFIG_DIR / "separable.json").read_text())
-    cfg["model"]["potential"]["k2"] = 1e308
+@pytest.mark.parametrize("config, params", [
+    ("separable.json", {"k2": 1e308}), ("separable.json", {"k1": 1e308}),
+    ("soft_coulomb.json", {"z": 1e308, "s": 1e-300}),
+], ids=["separable_k2", "separable_k1", "soft_coulomb"])
+@pytest.mark.parametrize("command", ["pes", "exact", "compare"])
+def test_overflowing_potential_exits_2_at_load(tmp_path, capsys, counted_calls, command, config,
+                                               params):
+    # finite config values, but W overflows to inf on the grid: refused before any compute,
+    # and named without a numpy warning
+    cfg = json.loads((CONFIG_DIR / config).read_text())
+    cfg["model"]["potential"].update(params)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
-    with np.errstate(over="ignore"):
-        assert _run("pes", path, tmp_path / "out") == 3
-    assert "solver failure: slice 0 has a non-finite matrix entry" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "pes.csv").exists()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert _run(command, path, tmp_path / "out") == 2
+    assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err == ("config error: model.potential: its sampled W is not "
+                                       "finite on grid1 x grid2\n")
+    assert counted_calls == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("grid, bounds, message", [

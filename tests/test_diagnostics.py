@@ -11,7 +11,7 @@ import pytest
 from scipy.fft import dst
 from scipy.linalg import eigh_tridiagonal
 
-from bolab.diagnostics import (UNCERTAINTY_SLACK, _sine_moments, compare_report,
+from bolab.diagnostics import (UNCERTAINTY_SLACK, _dst_rows, compare_report,
                                kappa_scaling_study, kinetic_expectation, nuclear_region,
                                nuclear_uncertainty, run_pipeline, slice_uncertainty_products,
                                t1_scale_candidates, uncertainty_product,
@@ -146,8 +146,8 @@ def test_slice_min_tie_break(separable_run):
 
 @pytest.mark.parametrize("n", [8, 192, 255, 256])
 def test_dense_sine_transform_matches_dst(n):
-    # the cached matrix is the orthonormal DST-I, an involution
-    S = _sine_moments(n, 3.0).S
+    # the DST-I rows that So and Se are cut from form the orthonormal DST-I, an involution
+    S = _dst_rows(np.arange(1, n + 1), n, n)
     v = np.random.default_rng(n).standard_normal((n, 5))
     ref = dst(v, type=1, norm="ortho", axis=0)
     assert np.max(np.abs(S @ v - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -169,7 +169,7 @@ def _whole_matrix_moments(values, g):
     np.fill_diagonal(x2, L**2 * (1.0 / 3.0 - 1.0 / (2.0 * k**2 * np.pi**2)))
     q = k * np.pi / L
     qg = np.where(odd, (2.0 / np.pi) * (1.0 / s + inv_d), 0.0) * q[None, :]
-    c = np.sqrt(g.h) * (_sine_moments(n, L).S @ values)
+    c = np.sqrt(g.h) * (_dst_rows(k, n, n) @ values)
     mean_u = np.real(np.sum(np.conj(c) * (x1 @ c), axis=0))
     mean_u2 = np.real(np.sum(np.conj(c) * (x2 @ c), axis=0))
     mean_p = np.imag(np.sum(np.conj(c) * (qg @ c), axis=0))

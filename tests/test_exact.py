@@ -291,7 +291,7 @@ def test_apply_rejects_an_array_off_the_product_grid():
 
 
 # --------------------------------------------------------------------------
-# assembly from the five diagonals, and the certified lambda_0 hint
+# assembly from the five diagonals, and the lambda_0 certificate
 
 def _kron_sum(h):
     """Reference assembly: T1 (x) I + I (x) T2 + diag W, each T from kinetic_diagonals."""
@@ -352,6 +352,33 @@ def test_raised_hint_is_a_solver_error_before_factoring(harmonic2000, monkeypatc
     with pytest.raises(SolverError, match="slice 40 is not positive definite"):
         solve_exact(harmonic2000.hamiltonian, 1, lam0=lam0)
     assert calls == []
+
+
+@pytest.fixture
+def raised_own_lambda0(monkeypatch):
+    """``exact.slice_eigenpairs`` with the oracle's own lambda_0, its (n1, n2) call, raised by
+    1e-3 at slice 40, as a slice solver returning a level above the lowest would."""
+    solve = exact.slice_eigenpairs
+
+    def spy(grid, mass, w, *args, **kwargs):
+        energies, mirrored = solve(grid, mass, w, *args, **kwargs)
+        if len(w) > 1:
+            energies[0, 40] += 1e-3
+        return energies, mirrored
+    monkeypatch.setattr(exact, "slice_eigenpairs", spy)
+
+
+def test_oracles_own_lambda0_is_certified(harmonic2000, raised_own_lambda0):
+    # without a scan, the oracle certifies the lambda_0 it solves itself
+    with pytest.raises(SolverError, match="slice 40 is not positive definite"):
+        solve_exact(harmonic2000.hamiltonian, 1)
+
+
+def test_exact_command_with_a_raised_own_lambda0_exits_3(tmp_path, capsys, raised_own_lambda0):
+    assert main(["exact", "--config", str(CONFIG_DIR / "harmonic_m2000.json"),
+                 "--out", str(tmp_path)]) == 3
+    assert "solver failure: lambda_0 is not a lower bound: slice 40 " in capsys.readouterr().err
+    assert not (tmp_path / "exact_energies.json").exists()
 
 
 @pytest.mark.parametrize("bad", ["scalar", "short", "long", "row", "nan"])

@@ -112,7 +112,7 @@ def test_shift_above_the_compressed_spectrum_is_a_solver_error(monkeypatch):
     field, h = _small_full_rank_setup()
     p = build_projector(field, 2)
     top = float(eigvals_banded(effective_matrix(p, h))[-1])
-    monkeypatch.setattr(projection, "_bo_lower_bound", lambda *args: top + 1.0)
+    monkeypatch.setattr(projection, "slice_eigenpairs", lambda *args: (np.array([[top + 1.0]]), False))
     with pytest.raises(SolverError, match="not positive definite"):
         solve_effective(p, h, 1)
 

@@ -1,15 +1,14 @@
 """Uniform 1-D Dirichlet grids, stencil operators, and grid-weighted norms.
 
-Everything downstream (clamped scans, nuclear solves, the product-grid
-Hamiltonian) is assembled from the pieces defined here: a uniform
-discretization of an interval with hard-wall boundaries, the 3-point
-Dirichlet stencil (axis-0 applies and the kinetic tridiagonal), the
-h-weighted norm that makes sampled wavefunctions behave like L2 vectors,
-the one solver for the lowest eigenpairs of every tridiagonal problem (the
-scan's slices, the nuclear levels and the oracle's Born-Oppenheimer bound),
-the sign convention of every computed eigenvector, and the one inversion-even
-sampled potential that the scan and the oracle read. No other module writes
-the stencil out.
+Everything downstream (clamped scans, nuclear solves, the product-grid Hamiltonian) is
+assembled from the pieces defined here: a uniform discretization of an interval with hard-wall
+boundaries, the 3-point Dirichlet stencil (axis-0 applies and the kinetic tridiagonal), the
+h-weighted norm that makes sampled wavefunctions behave like L2 vectors, the one solver for the
+lowest eigenpairs of every tridiagonal problem (the scan's slices, the nuclear levels and the
+oracle's Born-Oppenheimer bound), the one certificate that slices have no eigenvalue at or below
+a bound (that solver's gate and the oracle's lambda_0), the sign convention of every computed
+eigenvector, and the one inversion-even sampled potential that the scan and the oracle read. No
+other module writes the stencil out or imports from ``scipy.linalg.lapack``.
 
 Units are hbar = 1 throughout; one coordinate per particle.
 """
@@ -19,7 +18,7 @@ from functools import cached_property
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dstebz
 
 MIN_POINTS = 8
 
@@ -159,18 +158,31 @@ def ritz_error_bound(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return _GATE_ULPS * _EPS * (np.abs(d).max(axis=-1) + 2.0 * np.abs(e).max())
 
 
+def first_slice_below(d: np.ndarray, e: np.ndarray, mu: np.ndarray) -> int | None:
+    """The first slice i whose symmetric tridiagonal (``d[i]``, ``e``), ``d`` (r, n), has an
+    eigenvalue at or below ``mu[i]``, else None. The pivots of one unpivoted LDL^T (``pttrf``) of
+    the r slices less mu[i] I, stacked uncoupled, are the Sturm recurrence, and their signs the
+    exact inertia of a tridiagonal a few ulps away (Demmel 1997, section 5.3.4). LAPACK stops at
+    a pivot <= 0 but not at a NaN, so a pivot that is not finite fails too."""
+    r, n = d.shape
+    off = np.tile(np.append(e, 0.0), r)[:max(1, r * n - 1)]  # f2py wants e non-empty at r n = 1
+    piv, _, info = dpttrf((d - mu[:, None]).ravel(), off)
+    bad = ~np.isfinite(piv) | (np.arange(r * n) == info - 1)
+    return int(np.argmax(bad)) // n if bad.any() else None
+
+
 def slice_eigenpairs(grid: Grid1D, mass: float, w: np.ndarray, A: int,
                      vectors=None) -> tuple[np.ndarray, bool]:
     """``_lowest_eigenpairs`` of the r slices -(1/2 mass) d^2/dx^2 + diag w[i] on ``grid``, the
     one way into that solver, and whether the slices were mirrored: (energies (A, r), mirrored).
 
-    If ``inversion_even(w)``, slice r-1-i is slice i reversed, so only slices 0 .. ceil(r/2)-1
-    are solved and slice r-1-i gets slice i's values and reversed vectors (signs as reversed).
-    The scan and the oracle pass ``even_potential``'s W, whose mirrored slices are exactly
-    the solved ones reversed. Any other ``w`` has all r slices solved.
+    If ``w`` equals w[::-1, ::-1] bit for bit, the test of the oracle's parity sectors, slice
+    r-1-i is slice i reversed, so only slices 0 .. ceil(r/2)-1 are solved and slice r-1-i gets
+    slice i's values and reversed vectors (signs as reversed). ``even_potential`` makes a
+    sampled W so wherever it is even to round-off. Any other ``w`` has all r slices solved.
     """
     d, e = kinetic_diagonals(grid, mass)
-    mirrored = inversion_even(w)
+    mirrored = np.array_equal(w, w[::-1, ::-1])
     half = (len(w) + 1) // 2 if mirrored else len(w)
     part = None if vectors is None else vectors[:, :half]
     energies = _lowest_eigenpairs(d + w[:half], e, A, part)
@@ -183,17 +195,19 @@ def _lowest_eigenpairs(d: np.ndarray, e: np.ndarray, A: int, vectors=None) -> np
     """Lowest A eigenvalues, shape (A, r), of the r symmetric tridiagonals (``d[i]``, ``e``);
     with ``vectors``, an (A, r, n) array, also their unit eigenvectors, fix_signs applied.
 
-    Per chunk of _CHUNK slices: (1) LAPACK bisection (``stebz``, Sturm counts) brackets each
-    level to _BRACKET_RTOL |T|, |T| = max|d| + 2 max|e|; (2) per level, one ``gttrf`` of the
-    slices shifted to their bracket midpoints, stacked uncoupled by a zero at each boundary,
-    then _SWEEPS ``gttrs`` solves, each followed by Gram-Schmidt (twice) against the lower
-    levels; (3) Rayleigh-Ritz, a batched (A, A) ``eigh`` per slice. So the values are Ritz
-    values, |lambda - lambda_true| <= ||T z - lambda z||. A gate requires each residual to be
-    within ``ritz_error_bound`` and each value to lie in its bracket widened by as much. A
-    slice that fails (a close pair that the brackets cannot separate, cut in two by A, or an
-    exact pair) is solved once more with brackets to eps |T| and level a started from the
-    start rolled by a; failing again is a RuntimeError, as is a non-finite entry. Each step
-    treats each slice on its own: a slice gets the same bits in any batch.
+    Per chunk of _CHUNK slices: (1) LAPACK bisection (``stebz``) brackets each level to
+    _BRACKET_RTOL |T|, |T| = max|d| + 2 max|e|; (2) per level, one ``gttrf`` of the slices
+    shifted to their bracket midpoints, stacked uncoupled by a zero at each boundary, then
+    _SWEEPS ``gttrs`` solves, each followed by Gram-Schmidt (twice) against the lower levels;
+    (3) Rayleigh-Ritz, a batched (A, A) ``eigh`` per slice. So the values are Ritz values,
+    |lambda - lambda_true| <= ||T z - lambda z||. With s = ``ritz_error_bound``, a gate requires
+    each residual within s, each value in its bracket widened by s, and ``first_slice_below``
+    to find no eigenvalue at or below theta_0 - s; in the first pass, consecutive brackets
+    within 2 (tol + s) must not hold values more than 2 s apart (a bracket wider than a level
+    spacing may return a higher level; an exact cluster passes). A slice that fails is solved
+    once more with brackets to eps |T| and level a started from the start rolled by a;
+    failing again is a RuntimeError, as is a non-finite entry. Each step treats each slice on
+    its own: a slice gets the same bits in any batch.
     """
     r, n = d.shape
     finite = np.isfinite(d).all(axis=1) & bool(np.isfinite(e).all())
@@ -217,8 +231,8 @@ def _lowest_eigenpairs(d: np.ndarray, e: np.ndarray, A: int, vectors=None) -> np
 
 def _solve_chunk(d, e, start, roll, rtol, energies, z) -> np.ndarray:
     """One chunk of _lowest_eigenpairs, brackets to ``rtol`` |T| and level a started from
-    ``start`` rolled by ``roll * a``: writes the Ritz values into ``energies`` (A, c) and the
-    vectors into ``z`` (A, c, n); returns the indices of the slices that fail the gate."""
+    ``start`` rolled by ``roll * a`` (``roll`` 0 in the first pass): writes the Ritz values into
+    ``energies`` (A, c), the vectors into ``z`` (A, c, n); returns the slices failing the gate."""
     A, c, n = z.shape
     norm = np.abs(d).max(axis=1) + 2.0 * np.abs(e).max()
     tol = rtol * norm
@@ -251,6 +265,12 @@ def _solve_chunk(d, e, start, roll, rtol, energies, z) -> np.ndarray:
     slack = ritz_error_bound(d, e)
     good = ((np.sqrt(np.einsum("rbn,rbn->rb", res, res)) <= slack[:, None]).all(axis=1)
             & (np.abs(theta - mid) <= (tol + slack)[:, None]).all(axis=1))
+    if not roll:  # overlapping brackets holding distinct values may hold the wrong levels
+        good &= ~((np.diff(mid) <= 2.0 * (tol + slack)[:, None])
+                  & (np.diff(theta) > 2.0 * slack[:, None])).any(axis=1)
+    lo = 0  # level 0 is the lowest: no eigenvalue at or below theta_0 - slack; go on past a failure
+    while lo < c and (i := first_slice_below(d[lo:], e, theta[lo:, 0] - slack[lo:])) is not None:
+        good[lo + i], lo = False, lo + i + 1
     energies[:] = theta.T
     z[:] = fix_signs(y).transpose(1, 0, 2)
     return np.flatnonzero(~good)

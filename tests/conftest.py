@@ -1,15 +1,38 @@
 """Shared fixtures: the expensive pipeline runs are computed once per session."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from bolab import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
                    assemble_full_hamiltonian, build_grid, grid, scan_pes, solve_exact, solve_nuclear)
+from bolab.cli import load_config
 from bolab.diagnostics import kappa_scaling_study, run_pipeline
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
+
+# A fuzzed config whose light slices are diagonal to working precision (coupling about
+# 1e-25): their lowest levels lie about 4e-6 apart, inside the slice solver's 6e-5 wide
+# first-pass brackets, and once came back as higher levels.
+SPLIT_SLICES = {
+    "schema_version": 1,
+    "model": {"M": 5.5155e16, "m": 3.4254e15,
+              "potential": {"family": "soft_coulomb", "z": 0.0027062, "s": 0.76656, "k1": 220.12}},
+    "grid1": {"x_min": -24.5305, "x_max": 24.5305, "n": 38},
+    "grid2": {"x_min": -5.65691, "x_max": 5.65691, "n": 20},
+    "n_surfaces": 4, "projector_rank": 4, "nuclear_levels": 4, "exact_k": 3,
+    "sweep": [10.75, 84153.4],
+}
+
+
+@pytest.fixture
+def split_slices(tmp_path):
+    """SPLIT_SLICES as a config file and as ``load_config`` reads it: (path, config)."""
+    path = tmp_path / "split_slices.json"
+    path.write_text(json.dumps(SPLIT_SLICES))
+    return path, load_config(path)
 
 
 @pytest.fixture

@@ -52,6 +52,23 @@ def test_only_grid_and_model_sample_the_potential():
     assert named == {}
 
 
+def test_only_grid_imports_from_scipy_linalg_lapack():
+    # the slice solver and the slice certificate are grid's; every other module asks them
+    def imported(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                yield from (f"{node.module}.{alias.name}" for alias in node.names)
+    importing = {}
+    for path in sorted(Path(bolab.__file__).parent.glob("*.py")):
+        names = [name for name in imported(ast.parse(path.read_text()))
+                 if name.startswith("scipy.linalg.lapack")]
+        if names and path.name != "grid.py":
+            importing[path.name] = names
+    assert importing == {}
+
+
 def _fresh_python(*args):
     """A fresh interpreter with this tree's src/ first on its path."""
     src, path = str(REPO / "src"), os.environ.get("PYTHONPATH")

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from bolab.clamped import (CROSSING_OVERLAP, DEGENERACY_RTOL, ElectronicField, heavy_gap_report,
                            phase_fix, scan_pes)
 from bolab.grid import (_EPS, _lowest_eigenpairs, build_grid, inversion_even, kinetic_diagonals,
-                        slice_eigenpairs)
+                        ritz_error_bound, slice_eigenpairs)
 from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
-                         evaluate_potential)
+                         evaluate_potential, sample_potential)
 
 # 1-D ground energy of -(1/2) d^2/du^2 - 1/sqrt(u^2 + 1), from independent
 # fine-grid diagonalization (box +-25, n up to 8191, double Richardson;
@@ -284,6 +285,17 @@ def test_mirrored_slices_match_their_own_solves(potential, n1):
         assert np.abs(energies - field.energies[:, i]).max() <= bound
         signs = np.sign(np.sum(states * field.states[:, i], axis=1))[:, None]
         assert np.abs(signs * states - field.states[:, i]).max() <= 1e-13
+
+
+def test_scan_of_split_slices_returns_the_lowest_levels(split_slices):
+    # several levels share each first-pass bracket; every level the scan returns is still
+    # the indexed one, within the solver's gate
+    cfg = split_slices[1]
+    field = scan_pes(cfg.model, cfg.grid1, cfg.grid2, 4)
+    d, e = kinetic_diagonals(cfg.grid2, cfg.model.m)
+    d = d + sample_potential(cfg.model, cfg.grid1, cfg.grid2)
+    ref = np.array([eigh_tridiagonal(row, e, eigvals_only=True)[:4] for row in d]).T
+    assert np.all(np.abs(field.energies - ref) <= ritz_error_bound(d, e))
 
 
 def test_separable_slices_identical():

@@ -13,7 +13,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from bolab.cli import ConfigError, load_config, main
+from bolab.cli import COMMANDS, ConfigError, load_config, main
 from tests.conftest import CONFIG_DIR, REPO
 
 
@@ -608,6 +608,13 @@ def test_scaling_with_exactly_degenerate_nuclear_levels_exits_0(tmp_path):
     # at M = m = 1e20 the first row's two lowest nuclear levels are equal to the last bit
     path = _with_masses(tmp_path, "scaling_harmonic.json", M=1e20, m=1e20)
     assert _run("scaling", path, tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_runs_on_split_slices(tmp_path, split_slices, command):
+    # the slice solver once returned higher levels there, and the oracle's lambda_0
+    # certificate refused them
+    assert _run(command, split_slices[0], tmp_path / "out") == 0
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))

@@ -13,10 +13,10 @@ from bolab import clamped, exact
 from bolab.clamped import scan_pes
 from bolab.cli import load_config, main
 from bolab.diagnostics import run_pipeline
-from bolab.exact import (_SHIFT_OFFSET, DEFAULT_SEED, SolverError, _bo_lower_bound,
-                         _certify_above, _ncv, assemble_full_hamiltonian, product_inner,
-                         rayleigh_quotient, solve_exact)
-from bolab.grid import build_grid, fix_signs, inversion_even, kinetic_diagonals, second_difference
+from bolab.exact import (_SHIFT_OFFSET, DEFAULT_SEED, SolverError, _bo_lower_bound, _ncv,
+                         assemble_full_hamiltonian, product_inner, rayleigh_quotient, solve_exact)
+from bolab.grid import (build_grid, first_slice_below, fix_signs, inversion_even,
+                        kinetic_diagonals, second_difference, slice_eigenpairs)
 from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
                          analytic_normal_modes, evaluate_potential)
 from tests.conftest import CONFIG_DIR
@@ -331,17 +331,11 @@ def test_certificate_passes_exactly_when_every_slice_lies_above_mu():
         mu = 2.0 * rng.standard_normal(r)
         failing = [i for i in range(r)
                    if eigh_tridiagonal(d[i], e, eigvals_only=True)[0] <= mu[i]]
-        if failing:
-            with pytest.raises(SolverError, match=f"slice {failing[0]} is not positive definite"):
-                _certify_above(d, e, mu)
-        else:
-            _certify_above(d, e, mu)
+        assert first_slice_below(d, e, mu) == (failing[0] if failing else None)
     # a zero pivot fails, and so does a NaN, which LAPACK carries through without stopping
-    with pytest.raises(SolverError, match="slice 0 "):
-        _certify_above(np.zeros((1, 2)), np.ones(1), np.zeros(1))
-    with pytest.raises(SolverError, match="slice 1 "):
-        _certify_above(np.array([[3.0, 3.0], [np.nan, 3.0], [3.0, 3.0]]), np.ones(1),
-                       np.zeros(3))
+    assert first_slice_below(np.zeros((1, 2)), np.ones(1), np.zeros(1)) == 0
+    assert first_slice_below(np.array([[3.0, 3.0], [np.nan, 3.0], [3.0, 3.0]]), np.ones(1),
+                             np.zeros(3)) == 1
 
 
 def test_raised_hint_is_a_solver_error_before_factoring(harmonic2000, monkeypatch):
@@ -562,3 +556,12 @@ def test_potential_even_only_to_round_off_takes_the_full_operator(factored_dims)
     sol = solve_exact(h, 3)
     assert factored_dims == [h.dim]
     assert np.allclose(sol.energies, _eigsh_reference(h, 3), rtol=1e-12, atol=0.0)
+
+
+def test_potential_even_only_to_round_off_is_not_mirrored():
+    # the slice solver mirrors by the sectors' test, W equal to W[::-1, ::-1] bit for bit
+    spec = ModelSpec(M=100.0, m=1.0, potential=SoftCoulomb(1.0, 1.0, 1.0))
+    g1, g2 = build_grid(-1.6, 1.6, 24), build_grid(-10.0, 10.0, 40)
+    w = evaluate_potential(spec, g1.points[:, None], g2.points[None, :])
+    assert inversion_even(w) and not np.array_equal(w, w[::-1, ::-1])
+    assert slice_eigenpairs(g2, spec.m, w, 2)[1] is False

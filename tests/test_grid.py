@@ -13,6 +13,7 @@ from bolab import HarmonicCoupling, ModelSpec, scan_pes
 from bolab.grid import (_CHUNK, _EPS, _GATE_ULPS, GridFunction, _lowest_eigenpairs, build_grid,
                         central_difference, even_potential, fix_signs, kinetic_diagonals,
                         second_difference)
+from bolab.model import sample_potential
 
 def test_spacing_from_definition():
     assert build_grid(0.0, 10.0, 99).h == pytest.approx(0.1, abs=1e-15)
@@ -232,6 +233,18 @@ def test_lowest_eigenpairs_pass_the_gate_on_an_exactly_degenerate_heavy_problem(
     vectors = np.empty((A, 1, g1.n))
     energies = _lowest_eigenpairs(d, off, A, vectors)
     _check_eigenpairs(d, off, A, energies, vectors)
+
+
+@pytest.mark.parametrize("A", [1, 4])
+def test_lowest_eigenpairs_of_a_split_slice_are_the_lowest(split_slices, A):
+    # slice 0 of a fuzzed config: its lowest levels lie about 4e-6 apart inside 6e-5 wide
+    # first-pass brackets, whose midpoints sat 4.2e-5 to 4.8e-5 above the true levels
+    cfg = split_slices[1]
+    diag, off = kinetic_diagonals(cfg.grid2, cfg.model.m)
+    d = diag + sample_potential(cfg.model, cfg.grid1, cfg.grid2)[:1]
+    vectors = np.empty((A, 1, cfg.grid2.n))
+    energies = _lowest_eigenpairs(d, off, A, vectors)
+    _check_eigenpairs(d, off, A, energies, vectors, reference_rtol=_GATE_ULPS * _EPS)
 
 
 def test_lowest_eigenpairs_reject_non_finite_entries():

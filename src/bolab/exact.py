@@ -9,7 +9,7 @@ pieces, built from its five diagonals, by shift-invert Lanczos at every size.
 The shift sits below the Born-Oppenheimer lower bound, the ground energy of
 T1 + diag lambda_0. lambda_0 comes from a caller's scan or from H's own pieces
 (the scan's batched solver, one level per heavy point); either way
-``grid.first_slice_below``, an LDL^T of the slices, certifies it before it is used,
+``grid.sturm_counts``, a Sturm count per slice, certifies it before it is used,
 so the shift is verified rather than trusted. H - sigma I is then positive definite and
 factored unpivoted (``projection`` shares this route). Every potential family is even under
 (x1, x2) -> (-x1, -x2), and on a box centred at the origin ``model.sample_potential`` makes
@@ -26,8 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .grid import (Grid1D, first_slice_below, fix_signs, kinetic_diagonals, second_difference,
-                   slice_eigenpairs)
+from .grid import (Grid1D, fix_signs, kinetic_diagonals, second_difference, slice_eigenpairs,
+                   sturm_counts)
 from .model import ModelSpec, sample_potential
 
 MAX_PRODUCT_DIM = 120_000   # guard against accidentally huge product grids
@@ -105,10 +105,11 @@ def _bo_lower_bound(h: FullHamiltonian, lam0=None) -> float:
     cannot exceed the lowest eigenvalue of H (Brattsev 1965, Epstein 1966).
     ``lam0`` (n1 finite numbers, else a ValueError) is a caller's scan of the same model and
     grids, or by default H's own slices' ground Ritz values from one ``grid.slice_eigenpairs``
-    call, the same bits as a one-surface scan. Either is certified (``grid.first_slice_below``):
-    no slice T2 + W[i] may have an eigenvalue at or below lam0[i] - delta, delta = _SHIFT_OFFSET
-    max(1, |E_BO|) / 2, else a SolverError names it. E_BO, a one-row solve on the heavy grid,
-    is a gated Ritz value, so the true BO bound lies above E_BO - delta, above the shift.
+    call, the same bits as a one-surface scan. Either is certified: ``grid.sturm_counts`` must
+    count no eigenvalue of any slice T2 + W[i] at or below lam0[i] - delta, delta =
+    _SHIFT_OFFSET max(1, |E_BO|) / 2, else a SolverError names the first such slice. E_BO, a
+    one-row solve on the heavy grid, is a gated Ritz value, so the true BO bound lies above
+    E_BO - delta, above the shift.
     """
     if lam0 is None:
         lam0 = slice_eigenpairs(h.grid2, h.mass2, h.potential_grid, 1)[0][0]
@@ -118,7 +119,9 @@ def _bo_lower_bound(h: FullHamiltonian, lam0=None) -> float:
     e_bo = float(slice_eigenpairs(h.grid1, h.mass1, lam0[None], 1)[0][0, 0])
     delta = 0.5 * _SHIFT_OFFSET * max(1.0, abs(e_bo))
     d2, e2 = kinetic_diagonals(h.grid2, h.mass2)
-    if (i := first_slice_below(d2 + h.potential_grid, e2, lam0 - delta)) is not None:
+    below = np.flatnonzero(sturm_counts(d2 + h.potential_grid, e2, (lam0 - delta)[:, None]))
+    if below.size:
+        i = int(below[0])
         raise SolverError(f"lambda_0 is not a lower bound: slice {i} is not positive definite "
                           f"when shifted down by {float(lam0[i] - delta)!r}")
     return e_bo

@@ -5,10 +5,10 @@ assembled from the pieces defined here: a uniform discretization of an interval 
 boundaries, the 3-point Dirichlet stencil (axis-0 applies and the kinetic tridiagonal), the
 h-weighted norm that makes sampled wavefunctions behave like L2 vectors, the one solver for the
 lowest eigenpairs of every tridiagonal problem (the scan's slices, the nuclear levels and the
-oracle's Born-Oppenheimer bound), the one certificate that slices have no eigenvalue at or below
-a bound (that solver's gate and the oracle's lambda_0), the sign convention of every computed
-eigenvector, and the one inversion-even sampled potential that the scan and the oracle read. No
-other module writes the stencil out or imports from ``scipy.linalg.lapack``.
+oracle's Born-Oppenheimer bound), the one Sturm count of slice eigenvalues at or below a bound
+(that solver's gate on every level and the oracle's lambda_0), the sign convention of every
+computed eigenvector, and the one inversion-even sampled potential that the scan and the oracle
+read. No other module writes the stencil out or imports from ``scipy.linalg.lapack``.
 
 Units are hbar = 1 throughout; one coordinate per particle.
 """
@@ -18,7 +18,7 @@ from functools import cached_property
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dstebz
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 MIN_POINTS = 8
 
@@ -26,7 +26,7 @@ _EPS = np.finfo(float).eps
 _CHUNK = 64            # slices per batch: bounds the solver's working memory
 _BRACKET_RTOL = 1e-9   # stebz ABSTOL over the slice norm; three sweeps then converge
 _SWEEPS = 3
-_GATE_ULPS = 16.0      # residual and bracket slack, in eps times the slice norm
+_GATE_ULPS = 16.0      # residual and count slack, in eps times the slice norm
 _SYMMETRY_ULPS = 64.0  # |W - W[::-1, ::-1]| allowed of an inversion-even W, in eps max|W|
 
 
@@ -158,17 +158,18 @@ def ritz_error_bound(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return _GATE_ULPS * _EPS * (np.abs(d).max(axis=-1) + 2.0 * np.abs(e).max())
 
 
-def first_slice_below(d: np.ndarray, e: np.ndarray, mu: np.ndarray) -> int | None:
-    """The first slice i whose symmetric tridiagonal (``d[i]``, ``e``), ``d`` (r, n), has an
-    eigenvalue at or below ``mu[i]``, else None. The pivots of one unpivoted LDL^T (``pttrf``) of
-    the r slices less mu[i] I, stacked uncoupled, are the Sturm recurrence, and their signs the
-    exact inertia of a tridiagonal a few ulps away (Demmel 1997, section 5.3.4). LAPACK stops at
-    a pivot <= 0 but not at a NaN, so a pivot that is not finite fails too."""
-    r, n = d.shape
-    off = np.tile(np.append(e, 0.0), r)[:max(1, r * n - 1)]  # f2py wants e non-empty at r n = 1
-    piv, _, info = dpttrf((d - mu[:, None]).ravel(), off)
-    bad = ~np.isfinite(piv) | (np.arange(r * n) == info - 1)
-    return int(np.argmax(bad)) // n if bad.any() else None
+def sturm_counts(d: np.ndarray, e: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Entry (i, m), of shape ``mu`` (r, k): the number of eigenvalues of the symmetric
+    tridiagonal (``d[i]``, ``e``), ``d`` (r, n), at or below ``mu[i, m]``; a slice or shift that
+    is not finite counts n. One LAPACK bisection count (``stebz``, RANGE='V', no refinement) per
+    entry: its Sturm recurrence counts pivots <= 0, and their signs are the exact inertia of a
+    tridiagonal a few ulps away (Demmel 1997, section 5.3.4)."""
+    n = d.shape[1]
+    off = e if n > 1 else np.zeros(1)  # f2py wants e non-empty at n = 1
+    finite = np.isfinite(d).all(axis=1) & bool(np.isfinite(e).all())
+    return np.array([[dstebz(row, off, 1, -np.inf, x, 0, 0, np.inf, "E")[0]
+                      if ok and math.isfinite(x) else n for x in shifts]
+                     for row, ok, shifts in zip(d, finite, mu)], dtype=int).reshape(mu.shape)
 
 
 def slice_eigenpairs(grid: Grid1D, mass: float, w: np.ndarray, A: int,
@@ -199,12 +200,11 @@ def _lowest_eigenpairs(d: np.ndarray, e: np.ndarray, A: int, vectors=None) -> np
     _BRACKET_RTOL |T|, |T| = max|d| + 2 max|e|; (2) per level, one ``gttrf`` of the slices
     shifted to their bracket midpoints, stacked uncoupled by a zero at each boundary, then
     _SWEEPS ``gttrs`` solves, each followed by Gram-Schmidt (twice) against the lower levels;
-    (3) Rayleigh-Ritz, a batched (A, A) ``eigh`` per slice. So the values are Ritz values,
-    |lambda - lambda_true| <= ||T z - lambda z||. With s = ``ritz_error_bound``, a gate requires
-    each residual within s, each value in its bracket widened by s, and ``first_slice_below``
-    to find no eigenvalue at or below theta_0 - s; in the first pass, consecutive brackets
-    within 2 (tol + s) must not hold values more than 2 s apart (a bracket wider than a level
-    spacing may return a higher level; an exact cluster passes). A slice that fails is solved
+    (3) Rayleigh-Ritz, a batched (A, A) ``eigh`` per slice. A Ritz value of an orthonormal
+    basis lies at or above its level, theta_a >= lambda_a (Poincare). With s =
+    ``ritz_error_bound``, a gate requires each residual within s and ``sturm_counts`` at
+    theta_a - s to be at most a, so lambda_a > theta_a - s: every level, A-1 included, is its
+    indexed eigenvalue to within s, and an exact cluster passes. A slice that fails is solved
     once more with brackets to eps |T| and level a started from the start rolled by a;
     failing again is a RuntimeError, as is a non-finite entry. Each step treats each slice on
     its own: a slice gets the same bits in any batch.
@@ -230,9 +230,9 @@ def _lowest_eigenpairs(d: np.ndarray, e: np.ndarray, A: int, vectors=None) -> np
 
 
 def _solve_chunk(d, e, start, roll, rtol, energies, z) -> np.ndarray:
-    """One chunk of _lowest_eigenpairs, brackets to ``rtol`` |T| and level a started from
-    ``start`` rolled by ``roll * a`` (``roll`` 0 in the first pass): writes the Ritz values into
-    ``energies`` (A, c), the vectors into ``z`` (A, c, n); returns the slices failing the gate."""
+    """One chunk of _lowest_eigenpairs, brackets to ``rtol`` |T| (only the shifts) and level a
+    started from ``start`` rolled by ``roll * a``: writes the Ritz values into ``energies``
+    (A, c), the vectors into ``z`` (A, c, n); returns the slices failing the gate."""
     A, c, n = z.shape
     norm = np.abs(d).max(axis=1) + 2.0 * np.abs(e).max()
     tol = rtol * norm
@@ -262,15 +262,9 @@ def _solve_chunk(d, e, start, roll, rtol, energies, z) -> np.ndarray:
     theta, U = np.linalg.eigh(0.5 * (gram + gram.transpose(0, 2, 1)))
     y = U.transpose(0, 2, 1) @ zs
     res = U.transpose(0, 2, 1) @ tzs - theta[:, :, None] * y
-    slack = ritz_error_bound(d, e)
-    good = ((np.sqrt(np.einsum("rbn,rbn->rb", res, res)) <= slack[:, None]).all(axis=1)
-            & (np.abs(theta - mid) <= (tol + slack)[:, None]).all(axis=1))
-    if not roll:  # overlapping brackets holding distinct values may hold the wrong levels
-        good &= ~((np.diff(mid) <= 2.0 * (tol + slack)[:, None])
-                  & (np.diff(theta) > 2.0 * slack[:, None])).any(axis=1)
-    lo = 0  # level 0 is the lowest: no eigenvalue at or below theta_0 - slack; go on past a failure
-    while lo < c and (i := first_slice_below(d[lo:], e, theta[lo:, 0] - slack[lo:])) is not None:
-        good[lo + i], lo = False, lo + i + 1
+    slack = ritz_error_bound(d, e)[:, None]
+    good = ((np.sqrt(np.einsum("rbn,rbn->rb", res, res)) <= slack)
+            & (sturm_counts(d, e, theta - slack) <= np.arange(A))).all(axis=1)
     energies[:] = theta.T
     z[:] = fix_signs(y).transpose(1, 0, 2)
     return np.flatnonzero(~good)

@@ -298,6 +298,22 @@ def test_scan_of_split_slices_returns_the_lowest_levels(split_slices):
     assert np.all(np.abs(field.energies - ref) <= ritz_error_bound(d, e))
 
 
+def test_scan_returns_every_level_of_a_close_pair_cut_by_the_level_count():
+    # a fuzzed soft-Coulomb config: at slice 17, the centre of the mirrored scan, levels 1
+    # and 2 lie 1.4e-13 apart, and the scan once returned level 2 as level 1, 14 gate bounds
+    # off, while every command exited 0
+    spec = ModelSpec(M=352661675320.4424, m=37222655996.16248,
+                     potential=SoftCoulomb(269.72220527863914, 1.5805278316793654,
+                                           23.897645471155148))
+    g1 = build_grid(-0.4196445394687933, 0.4196445394687933, 35)
+    g2 = build_grid(-0.13456284946439478, 0.13456284946439478, 25)
+    field = scan_pes(spec, g1, g2, 2)
+    d, e = kinetic_diagonals(g2, spec.m)
+    d = d + sample_potential(spec, g1, g2)
+    ref = np.array([eigh_tridiagonal(row, e, eigvals_only=True)[:2] for row in d]).T
+    assert np.all(np.abs(field.energies - ref) <= ritz_error_bound(d, e))
+
+
 def test_separable_slices_identical():
     spec = ModelSpec(M=10.0, m=1.0, potential=SeparableHarmonic(1.0, 1.0))
     g1 = build_grid(-3.5, 3.5, 96)

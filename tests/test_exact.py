@@ -15,8 +15,8 @@ from bolab.cli import load_config, main
 from bolab.diagnostics import run_pipeline
 from bolab.exact import (_SHIFT_OFFSET, DEFAULT_SEED, SolverError, _bo_lower_bound, _ncv,
                          assemble_full_hamiltonian, product_inner, rayleigh_quotient, solve_exact)
-from bolab.grid import (build_grid, first_slice_below, fix_signs, inversion_even,
-                        kinetic_diagonals, second_difference, slice_eigenpairs)
+from bolab.grid import (build_grid, fix_signs, inversion_even, kinetic_diagonals,
+                        second_difference, slice_eigenpairs, sturm_counts)
 from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
                          analytic_normal_modes, evaluate_potential)
 from tests.conftest import CONFIG_DIR
@@ -328,14 +328,28 @@ def test_certificate_passes_exactly_when_every_slice_lies_above_mu():
         r, n = rng.integers(1, 6), rng.integers(1, 40)
         d = rng.standard_normal((r, n))
         e = rng.standard_normal(n - 1) * rng.choice([1e-8, 1.0, 10.0])
-        mu = 2.0 * rng.standard_normal(r)
+        mu = 2.0 * rng.standard_normal((r, 1))
         failing = [i for i in range(r)
-                   if eigh_tridiagonal(d[i], e, eigvals_only=True)[0] <= mu[i]]
-        assert first_slice_below(d, e, mu) == (failing[0] if failing else None)
-    # a zero pivot fails, and so does a NaN, which LAPACK carries through without stopping
-    assert first_slice_below(np.zeros((1, 2)), np.ones(1), np.zeros(1)) == 0
-    assert first_slice_below(np.array([[3.0, 3.0], [np.nan, 3.0], [3.0, 3.0]]), np.ones(1),
-                             np.zeros(3)) == 1
+                   if eigh_tridiagonal(d[i], e, eigvals_only=True)[0] <= mu[i, 0]]
+        assert np.flatnonzero(sturm_counts(d, e, mu)).tolist() == failing
+    # the count at several shifts per slice is the number of eigenvalues at or below each
+    for _ in range(100):
+        r, n, k = rng.integers(1, 6), rng.integers(1, 40), rng.integers(1, 5)
+        d = rng.standard_normal((r, n))
+        e = rng.standard_normal(n - 1) * rng.choice([1e-8, 1.0, 10.0])
+        mu = 3.0 * rng.standard_normal((r, k))
+        ref = [[int(np.sum(eigh_tridiagonal(row, e, eigvals_only=True) <= x)) for x in shifts]
+               for row, shifts in zip(d, mu)]
+        assert sturm_counts(d, e, mu).tolist() == ref
+    # n = 1, where each slice is its one eigenvalue
+    one = sturm_counts(np.array([[2.0], [-1.0]]), np.zeros(0), np.array([[1.9, 2.0], [-2.0, 0.0]]))
+    assert one.tolist() == [[0, 1], [0, 1]]
+    # a zero pivot counts as an eigenvalue at the shift (levels -1 and 1 here), and a NaN
+    # entry or shift counts n
+    shifts = np.array([[-1.5, -1.0, 0.0, 1.0]])
+    assert sturm_counts(np.zeros((1, 2)), np.ones(1), shifts).tolist() == [[0, 1, 1, 2]]
+    assert sturm_counts(np.array([[3.0, 3.0], [np.nan, 3.0], [3.0, 3.0]]), np.ones(1),
+                        np.array([[0.0], [0.0], [np.nan]])).tolist() == [[0], [2], [2]]
 
 
 def test_raised_hint_is_a_solver_error_before_factoring(harmonic2000, monkeypatch):

@@ -1,4 +1,5 @@
-"""Run every CLI command on random small configs: each config that loads either runs or is refused.
+"""Run every CLI command on random small configs: each config that loads either runs or is refused,
+and its scan and nuclear levels are the indexed eigenvalues.
 
     python tools/fuzz_configs.py --seed S --count N
 
@@ -20,8 +21,18 @@ Exit 0 (ran) and exit 2 (refused) are the contract. Any other exit code, 3 for
 a numerical failure, or an exception out of ``main`` is a failure: the script
 writes one JSON line to stdout for it, with ``config``, ``command``, ``exit``
 (null where ``main`` raised) and ``stderr``, the last line that the command
-wrote to stderr (the exception where it raised). Exits 1 if it wrote any line,
-else 0.
+wrote to stderr (the exception where it raised).
+
+Each config that loads also has its answers checked through the library: every
+level of every slice of ``scan_pes`` (``n_surfaces`` levels), and every level of
+``solve_nuclear`` (``nuclear_levels`` levels) on every scanned surface, against
+``scipy.linalg.eigvalsh_tridiagonal`` of the same tridiagonal (the slice rows
+of ``model.sample_potential``, or the heavy kinetic operator plus the scanned
+surface), within ``grid.ritz_error_bound`` of that tridiagonal. A solve that
+raises is left to the commands' exit codes. Each miss is one JSON line with
+``config``, ``check`` (``scan`` or ``nuclear``), ``row`` (the slice, or the
+surface), ``level``, ``value``, ``reference`` and ``bound``. Exits 1 if it
+wrote any line, else 0.
 """
 
 import argparse
@@ -36,9 +47,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
+from scipy.linalg import eigvalsh_tridiagonal  # noqa: E402
 
 from bolab import cli  # noqa: E402
-from bolab.model import _FAMILIES  # noqa: E402
+from bolab.bo import solve_nuclear  # noqa: E402
+from bolab.clamped import scan_pes  # noqa: E402
+from bolab.grid import kinetic_diagonals, ritz_error_bound  # noqa: E402
+from bolab.model import _FAMILIES, sample_potential  # noqa: E402
 
 
 def _log_uniform(rng, lo: float, hi: float) -> float:
@@ -84,6 +99,39 @@ def run_command(command: str, config: dict) -> tuple:
     return code, lines[-1] if lines else ""
 
 
+def _misses(check: str, values: np.ndarray, d: np.ndarray, e: np.ndarray) -> list:
+    """One dict per level a, row i of ``values`` (A, r) off level a of the tridiagonal
+    (``d[i]``, ``e``) by more than its ``ritz_error_bound``."""
+    bound = ritz_error_bound(d, e)
+    ref = np.array([eigvalsh_tridiagonal(row, e)[:len(values)] for row in d]).T
+    return [{"check": check, "row": int(i), "level": int(a), "value": float(values[a, i]),
+             "reference": float(ref[a, i]), "bound": float(bound[i])}
+            for a, i in zip(*np.nonzero(np.abs(values - ref) > bound))]
+
+
+def answer_misses(config: dict) -> list:
+    """The scan and nuclear levels of ``config`` off their references, as ``_misses`` dicts;
+    none if the config is refused at load or a solve raises."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "config.json"
+        path.write_text(json.dumps(config))
+        try:
+            cfg = cli.load_config(path)
+        except cli.ConfigError:
+            return []
+    try:
+        field = scan_pes(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces)
+        nuclear = np.array([solve_nuclear(field, cfg.model, a, cfg.nuclear_levels).energies
+                            for a in range(cfg.n_surfaces)])
+    except (ValueError, ArithmeticError, RuntimeError):
+        return []
+    d2, e2 = kinetic_diagonals(cfg.grid2, cfg.model.m)
+    d1, e1 = kinetic_diagonals(cfg.grid1, cfg.model.M)
+    w = sample_potential(cfg.model, cfg.grid1, cfg.grid2)
+    return (_misses("scan", field.energies, d2 + w, e2)
+            + _misses("nuclear", nuclear.T, d1 + field.energies, e1))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -102,6 +150,9 @@ def main(argv=None) -> int:
                 failed = True
                 print(json.dumps({"config": config, "command": command, "exit": code,
                                   "stderr": last}), flush=True)
+        for miss in answer_misses(config):
+            failed = True
+            print(json.dumps({"config": config, **miss}), flush=True)
     return 1 if failed else 0
 
 

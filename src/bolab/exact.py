@@ -2,10 +2,11 @@
 
 This is the independent oracle the rest of the package is tested against:
 H = T1 + T2 + W assembled without any adiabatic input, diagonalized
-directly. The operator is kept matrix-free for probes and Rayleigh
+directly. The operator is kept matrix-free for probes, residuals and Rayleigh
 quotients (rows carry the heavy kinetic stencil, columns the light one,
-W acts pointwise); the eigensolver works on a sparse assembly of the same
-pieces, built from its five diagonals, by shift-invert Lanczos at every size.
+W acts pointwise); the eigensolver works on sparse assemblies of the same
+pieces, each written from its five diagonals just before it is factored, by
+shift-invert Lanczos at every size.
 The shift sits below the Born-Oppenheimer lower bound, the ground energy of
 T1 + diag lambda_0. lambda_0 comes from a caller's scan or from H's own pieces
 (the scan's batched solver, one level per heavy point); either way
@@ -42,7 +43,8 @@ class SolverError(RuntimeError):
 
 @dataclass
 class FullHamiltonian:
-    """Matrix-free action of T1 + T2 + W on (n1, n2) amplitude arrays."""
+    """Matrix-free action of T1 + T2 + W on (n1, n2) amplitude arrays, and ``sector``, the one
+    builder of the sparse operators the oracle factors."""
 
     grid1: Grid1D
     grid2: Grid1D
@@ -64,21 +66,32 @@ class FullHamiltonian:
         out -= second_difference(a.T, self.grid2).T / (2.0 * self.mass2)
         return out
 
-    @property
-    def as_sparse(self) -> sp.csc_matrix:
-        """Sparse assembly of the same operator, from its five diagonals; built afresh on every
-        access. Row-major index i n2 + j: the main diagonal is (T1 + T2) + W, the light stencil
-        sits at offsets +-1 (zero across heavy rows, dropped) and the heavy one at +-n2. The
-        kinetic entries are kinetic_diagonals', as in every tridiagonal solve."""
-        n1, n2 = self.grid1.n, self.grid2.n
+    def sector(self, parity: float, sigma: float = 0.0) -> sp.csc_array:
+        """H - sigma I in canonical CSC with int32 indices, written from its five diagonals: the
+        whole operator at parity 0, else the inversion sector of that parity (``solve_exact``).
+        Row-major index i n2 + j: the main diagonal is (T1 + T2) + W, the light stencil sits at
+        offsets +-1 (none across heavy rows), the heavy one at +-n2, all kinetic_diagonals'. A
+        sector keeps the rows below n1 n2 / 2 and folds a column c past them onto n1 n2 - 1 - c,
+        times the parity; sum_duplicates merges it onto that column in one rounding. Zeros are
+        dropped. H is symmetric, so the CSR arrays are the CSC arrays."""
+        n1, n2, dim = self.grid1.n, self.grid2.n, self.dim
+        rows = dim // 2 if parity else dim
         d1, e1 = kinetic_diagonals(self.grid1, self.mass1)
         d2, e2 = kinetic_diagonals(self.grid2, self.mass2)
         main = (np.repeat(d1, n2) + np.tile(d2, n1)) + self.potential_grid.ravel()
-        light = np.tile(np.append(e2, 0.0), n1)[:-1]
-        heavy = np.repeat(e1, n2)
-        hs = sp.diags([heavy, light, main, light, heavy], [-n2, -1, 0, 1, n2], format="csc")
-        hs.eliminate_zeros()
-        return hs
+        values = np.stack([np.repeat(np.r_[0.0, e1], n2), np.tile(np.r_[0.0, e2], n1), main,
+                           np.tile(np.r_[e2, 0.0], n1), np.repeat(np.r_[e1, 0.0], n2)], 1)[:rows]
+        cols = np.arange(rows, dtype=np.int32)[:, None] + np.array([-n2, -1, 0, 1, n2], np.int32)
+        far = cols >= rows
+        cols[far], values[far] = dim - 1 - cols[far], parity * values[far]
+        keep = values != 0.0
+        keep[:, 2] = True  # the main diagonal takes -sigma even where it is 0
+        indptr = np.r_[0, np.cumsum(keep.sum(1))].astype(np.int32)
+        a = sp.csr_array((values[keep], cols[keep], indptr), shape=(rows, rows))
+        a.sum_duplicates()
+        a.setdiag(a.diagonal() - sigma)
+        a.eliminate_zeros()
+        return sp.csc_array((a.data, a.indices, a.indptr), shape=(rows, rows))
 
 
 def assemble_full_hamiltonian(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D) -> FullHamiltonian:
@@ -184,9 +197,12 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
     by Perron-Frobenius its ground state is even: the even sector gives k levels and the odd
     k - 1 (not built at k = 1), merged by energy. Any other W, and a grid whose centre point
     is its own mirror image (n1, n2 both odd), takes the full operator.
+    ``FullHamiltonian.sector`` writes each operator, less sigma I, inside its factorization,
+    so only one sparse operator exists while SuperLU factors it.
     Most supernodes of these grid factors are 1-4 columns wide, so 5-column panels
     factor them in 13-23% less time than SuperLU's default 20, with the same fill.
-    Residuals are verified against H, ``|H v - E v| <= 1e-9 |E|``, and reported. A failed
+    Residuals are verified against the matrix-free H (``FullHamiltonian.apply``), not the
+    matrices that were factored, ``|H v - E v| <= 1e-9 |E|``, and reported. A failed
     factorization or Lanczos run is a SolverError.
     """
     if not 1 <= k <= 20:
@@ -195,21 +211,23 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
     if k >= dim:
         raise ValueError("k must be smaller than the product dimension")
     e_bo = _bo_lower_bound(h, lam0)
-    hs, w, half = h.as_sparse, h.potential_grid, dim // 2
-    sectors = [(hs, k, 0.0)]  # (operator, levels, parity); parity 0 is the full operator
+    w = h.potential_grid
+    sectors = [(0.0, k)]  # (parity, levels); parity 0 is the full operator
     if dim % 2 == 0 and np.array_equal(w, w[::-1, ::-1]):
-        a11, a12j = hs[:half, :half], hs[:half, half:][:, ::-1]
-        sectors = [(a11 + a12j, k, 1.0)] + ([(a11 - a12j, k - 1, -1.0)] if k > 1 else [])
+        sectors = [(1.0, k)] + ([(-1.0, k - 1)] if k > 1 else [])
     vals, vecs = [], []
-    for op, levels, parity in sectors:
-        v, x = _lowest_above(e_bo, op.shape[0], _symmetric_factor(op), levels, seed)
+    for parity, levels in sectors:
+        def factor(sigma, parity=parity):
+            return splu(h.sector(parity, sigma), permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0, panel_size=5, options={"SymmetricMode": True}).solve
+        v, x = _lowest_above(e_bo, dim // 2 if parity else dim, factor, levels, seed)
         vals.append(v)
         vecs.append(np.vstack([x, parity * x[::-1]]) / math.sqrt(2.0) if parity else x)
     vals, vecs = np.concatenate(vals), np.hstack(vecs)
     order = np.argsort(vals, kind="stable")[:k]
     vals, vecs = vals[order], vecs[:, order]
 
-    resid = (hs @ vecs - vecs * vals).T.reshape(k, h.grid1.n, h.grid2.n)
+    resid = (h.apply(u) - e * u for e, u in zip(vals, vecs.T.reshape(k, h.grid1.n, h.grid2.n)))
     residuals = np.array([math.sqrt(_grid_dot(r, r)) for r in resid])
     bounds = RESIDUAL_RTOL * np.maximum(np.abs(vals), 1e-6)
     if np.any(residuals > bounds):
@@ -222,15 +240,6 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
     states = fix_signs(vecs.T.copy()).reshape(k, h.grid1.n, h.grid2.n)
     states /= np.sqrt(h.grid1.h * h.grid2.h)
     return ExactSolution(energies=vals, states=states, residuals=residuals)
-
-
-def _symmetric_factor(a: sp.csc_matrix):
-    """``factor`` for ``_lowest_above`` on the sparse symmetric ``a``: SuperLU of a - sigma I in
-    symmetric mode, unpivoted, MMD ordering on A^T + A, 5-column panels (the supernodes are
-    mostly 1-4 columns wide)."""
-    return lambda sigma: splu(a - sigma * sp.identity(a.shape[0], format="csc"),
-                              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, panel_size=5,
-                              options={"SymmetricMode": True}).solve
 
 
 def _grid_dot(a: np.ndarray, b: np.ndarray) -> float:

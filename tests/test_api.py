@@ -1,6 +1,7 @@
 """The public package surface."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -96,6 +97,26 @@ def test_import_after_scipy_linalg_runs_compare(tmp_path):
                          "compare", "--config", str(CONFIG_DIR / "separable.json"), "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "report.json").is_file()
+
+
+def test_oracle_commands_import_none_of_numpys_unused_submodules(tmp_path):
+    # scipy.sparse.diags imported numpy.ma at the first oracle solve (dia_array.__init__ ->
+    # np.unique -> np.ma.is_masked); no code path builds a dia matrix now. scaling needs a
+    # sweep, so it runs on a copy of the config with two mass ratios
+    config = CONFIG_DIR / "separable.json"
+    swept = tmp_path / "swept.json"
+    swept.write_text(json.dumps({**json.loads(config.read_text()), "sweep": [10, 100]}))
+    proc = _fresh_python("-c", """
+import sys
+from bolab.cli import main
+config, swept, out = sys.argv[1:]
+for command, path in [("exact", config), ("compare", config), ("scaling", swept)]:
+    assert main([command, "--config", path, "--out", out]) == 0, command
+loaded = [m for m in ("numpy.ma", "numpy.f2py", "numpy.testing", "numpy.polynomial")
+          if m in sys.modules]
+assert loaded == [], loaded
+""", str(config), str(swept), str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_failed_scipy_import_restores_numpy():

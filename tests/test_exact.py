@@ -1,5 +1,7 @@
 """The exact two-body oracle: assembly, symmetry, spectra, determinism."""
 
+import itertools
+import weakref
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, splu
 
 from bolab import clamped, exact
 from bolab.clamped import scan_pes
@@ -52,7 +54,7 @@ def test_apply_matches_sparse():
     h = assemble_full_hamiltonian(_harmonic(M=3.0), build_grid(-4, 4, 16), build_grid(-5, 5, 20))
     rng = np.random.default_rng(8)
     f = rng.standard_normal((16, 20))
-    dense_action = (h.as_sparse @ f.ravel()).reshape(16, 20)
+    dense_action = (h.sector(0) @ f.ravel()).reshape(16, 20)
     assert np.allclose(h.apply(f), dense_action, atol=1e-13)
 
 
@@ -260,7 +262,7 @@ def test_shift_invert_matches_eigsh_own_factorization(harmonic2000, soft_coulomb
         e_bo = _bo_lower_bound(h)
         sigma = e_bo - _SHIFT_OFFSET * max(1.0, abs(e_bo))
         v0 = np.random.default_rng(DEFAULT_SEED).standard_normal(h.dim)
-        ref = np.sort(eigsh(h.as_sparse, k=len(energies), sigma=sigma, v0=v0,
+        ref = np.sort(eigsh(h.sector(0), k=len(energies), sigma=sigma, v0=v0,
                             return_eigenvectors=False))
         assert np.allclose(energies, ref, rtol=1e-12, atol=0.0)
 
@@ -304,22 +306,32 @@ def _kron_sum(h):
             + sp.diags(h.potential_grid.ravel())).tocsc()
 
 
+_SOFT_COULOMB = ModelSpec(M=100.0, m=1.0, potential=SoftCoulomb(1.0, 1.0, 1.0))
+
+
 @pytest.mark.parametrize("spec, n1, n2", [
     (_harmonic(M=2000.0), 128, 128),
-    (ModelSpec(M=100.0, m=1.0, potential=SoftCoulomb(1.0, 1.0, 1.0)), 24, 40),
+    (_SOFT_COULOMB, 24, 40),
     (ModelSpec(M=3.0, m=1.0, potential=SeparableHarmonic(1.0, 2.0)), 8, 9),
-], ids=["harmonic_m2000", "soft_coulomb", "separable_smallest"])
+    (_SOFT_COULOMB, 25, 40), (_SOFT_COULOMB, 24, 41), (_SOFT_COULOMB, 8, 9), (_SOFT_COULOMB, 9, 8),
+], ids=["harmonic_m2000", "soft_coulomb", "separable_smallest", "soft_coulomb_n1_odd",
+        "soft_coulomb_n2_odd", "soft_coulomb_8x9", "soft_coulomb_9x8"])
 def test_sparse_assembly_is_the_kron_sum(spec, n1, n2):
+    # every parity and shift, bit for bit: a sector is (K11 +- K12 J) - sigma I of the
+    # Kronecker sum K; an odd n2 folds a heavy entry onto the diagonal, an odd n1 a light one
     h = assemble_full_hamiltonian(spec, build_grid(-0.65, 0.65, n1), build_grid(-5.5, 5.5, n2))
-    hs = h.as_sparse
-    assert hs.format == "csc"
-    assert hs.nnz == n1 * n2 + 2 * (n1 - 1) * n2 + 2 * n1 * (n2 - 1)
-    assert hs.has_sorted_indices
-    assert all(np.all(np.diff(hs.indices[a:b]) > 0) for a, b in zip(hs.indptr, hs.indptr[1:]))
-    assert np.all(hs.data != 0.0)
-    ref = _kron_sum(h)
-    assert np.array_equal(hs.indptr, ref.indptr) and np.array_equal(hs.indices, ref.indices)
-    assert hs.data.tobytes() == ref.data.tobytes()
+    kron, half = _kron_sum(h), h.dim // 2
+    assert h.sector(0).nnz == n1 * n2 + 2 * (n1 - 1) * n2 + 2 * n1 * (n2 - 1)
+    for parity, sigma in itertools.product([0.0, 1.0, -1.0], [0.0, 0.3]):
+        hs = h.sector(parity, sigma)
+        ref = kron if not parity else kron[:half, :half] + parity * kron[:half, half:][:, ::-1]
+        ref = (ref - sigma * sp.identity(ref.shape[0], format="csc")).tocsc()
+        assert hs.format == "csc" and hs.indices.dtype == hs.indptr.dtype == np.int32
+        assert hs.has_sorted_indices
+        assert all(np.all(np.diff(hs.indices[a:b]) > 0) for a, b in zip(hs.indptr, hs.indptr[1:]))
+        assert np.all(hs.data != 0.0)
+        assert np.array_equal(hs.indptr, ref.indptr) and np.array_equal(hs.indices, ref.indices)
+        assert hs.data.tobytes() == ref.data.tobytes()
 
 
 def test_certificate_passes_exactly_when_every_slice_lies_above_mu():
@@ -455,7 +467,7 @@ def _eigsh_reference(h, k):
     e_bo = _bo_lower_bound(h)
     sigma = e_bo - _SHIFT_OFFSET * max(1.0, abs(e_bo))
     v0 = np.random.default_rng(DEFAULT_SEED).standard_normal(h.dim)
-    return np.sort(eigsh(h.as_sparse, k=k, sigma=sigma, v0=v0, return_eigenvectors=False))
+    return np.sort(eigsh(h.sector(0), k=k, sigma=sigma, v0=v0, return_eigenvectors=False))
 
 
 def _parities(states):
@@ -494,8 +506,11 @@ def test_asymmetric_potential_factors_the_full_operator_once(factored_dims):
     assert np.abs(w - w[::-1, ::-1]).max() > 1e-3 * np.abs(w).max()
     sol = solve_exact(h, 3)
     assert factored_dims == [h.dim]
-    vals, vecs = exact._lowest_above(_bo_lower_bound(h), h.dim,
-                                     exact._symmetric_factor(h.as_sparse), 3, DEFAULT_SEED)
+
+    def factor(sigma):
+        return splu(h.sector(0, sigma), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    panel_size=5, options={"SymmetricMode": True}).solve
+    vals, vecs = exact._lowest_above(_bo_lower_bound(h), h.dim, factor, 3, DEFAULT_SEED)
     states = fix_signs(vecs.T.copy()).reshape(3, 24, 40) / np.sqrt(h.grid1.h * h.grid2.h)
     assert sol.energies.tobytes() == vals.tobytes()
     assert sol.states.tobytes() == states.tobytes()
@@ -547,16 +562,31 @@ def test_scan_and_oracle_read_one_exactly_even_potential(monkeypatch, config):
 
 
 @pytest.mark.parametrize("k", [1, 3])
-def test_oracle_assembles_one_sparse_h_per_solve(monkeypatch, k):
-    # the parity sectors are cut from the same sparse H that checks the residuals
-    h, reads, assemble = _soft_coulomb_box(), [], exact.FullHamiltonian.as_sparse.fget
+def test_oracle_builds_each_sector_just_before_factoring_it(monkeypatch, k):
+    # one sparse operator at a time: each sector is built inside its factorization, and the
+    # one built before it is gone by then; the whole H is built only where W is not even
+    calls, alive, build, factorize = [], [], exact.FullHamiltonian.sector, exact.splu
 
-    def counted(self):
-        reads.append(self.dim)
-        return assemble(self)
-    monkeypatch.setattr(exact.FullHamiltonian, "as_sparse", property(counted))
+    def sector(self, parity, sigma=0.0):
+        a = build(self, parity, sigma)
+        calls.append(("sector", parity))
+        alive.append(weakref.ref(a))
+        return a
+
+    def spy(a, *args, **kwargs):
+        calls.append(("splu", a.shape[0]))
+        assert [ref() is a for ref in alive if ref() is not None] == [True]
+        return factorize(a, *args, **kwargs)
+    monkeypatch.setattr(exact.FullHamiltonian, "sector", sector)
+    monkeypatch.setattr(exact, "splu", spy)
+    h = _soft_coulomb_box()
     solve_exact(h, k)
-    assert reads == [h.dim]
+    assert calls == [("sector", 1.0), ("splu", h.dim // 2),
+                     ("sector", -1.0), ("splu", h.dim // 2)][:2 if k == 1 else 4]
+    calls.clear()
+    h = _soft_coulomb_box(x1_max=1.7)
+    solve_exact(h, k)
+    assert calls == [("sector", 0.0), ("splu", h.dim)]
 
 
 def test_potential_even_only_to_round_off_takes_the_full_operator(factored_dims):

@@ -217,12 +217,13 @@ def slice_uncertainty_products(field: ElectronicField) -> np.ndarray:
 # heavy-region and kinetic-scale estimation
 
 def nuclear_region(theta: GridFunction) -> tuple[float, float]:
-    """mean +/- REGION_SIGMA * sigma of the heavy position density."""
+    """mean +/- max(REGION_SIGMA * sigma, h) of the heavy position density, h its grid spacing."""
     x = theta.grid.points
     density = theta.grid.h * np.abs(theta.values) ** 2
     mean = float(np.sum(x * density))
     sigma = float(np.sqrt(max(np.sum(x * x * density) - mean * mean, 0.0)))
-    return mean - REGION_SIGMA * sigma, mean + REGION_SIGMA * sigma
+    half = max(REGION_SIGMA * sigma, theta.grid.h)
+    return mean - half, mean + half
 
 
 def kinetic_expectation(theta: GridFunction, mass: float) -> float:

@@ -7,17 +7,18 @@ quotients (rows carry the heavy kinetic stencil, columns the light one,
 W acts pointwise); the eigensolver works on sparse assemblies of the same
 pieces, each written from its five diagonals just before it is factored, by
 shift-invert Lanczos at every size.
-The shift sits below the Born-Oppenheimer lower bound, the ground energy of
-T1 + diag lambda_0. lambda_0 comes from a caller's scan or from H's own pieces
-(the scan's batched solver, one level per heavy point); either way
-``grid.sturm_counts``, a Sturm count per slice, certifies it before it is used,
-so the shift is verified rather than trusted. H - sigma I is then positive definite and
+The shift sits below the Born-Oppenheimer lower bound, the ground energy of T1 + diag
+lambda_0. lambda_0 comes from a caller's scan or from H's own pieces (the scan's batched
+solver, one level per heavy point); either way ``grid.sturm_counts``, a Sturm count per slice,
+certifies it before it is used, so the shift is verified rather than trusted. One energy scale
+delta, from the round-off of the Ritz values it rests on, sets the shift, the certificate's
+margin, ARPACK's scaling and the residual floor. H - sigma I is then positive definite and
 factored unpivoted (``projection`` shares this route). Every potential family is even under
 (x1, x2) -> (-x1, -x2), and on a box centred at the origin ``model.sample_potential`` makes
-the sampled W, the scan's too, exactly so; then H splits into an even and an odd sector
-of half the dimension, each factored on its own, and the ground state is even
-(Perron-Frobenius). Any other grid takes the full operator. Grid sums run in a fixed
-order, whatever the BLAS thread count.
+the sampled W, the scan's too, exactly so; then H splits into an even and an odd sector of
+half the dimension, each factored on its own, and the ground state is even (Perron-Frobenius).
+Any other grid takes the full operator. Grid sums run in a fixed order, whatever the BLAS
+thread count.
 """
 
 import math
@@ -27,14 +28,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .grid import (Grid1D, fix_signs, kinetic_diagonals, second_difference, slice_eigenpairs,
-                   sturm_counts)
+from .grid import (Grid1D, fix_signs, kinetic_diagonals, ritz_error_bound, second_difference,
+                   slice_eigenpairs, sturm_counts)
 from .model import ModelSpec, sample_potential
 
 MAX_PRODUCT_DIM = 120_000   # guard against accidentally huge product grids
 RESIDUAL_RTOL = 1e-9
 DEFAULT_SEED = 20240817
-_SHIFT_OFFSET = 1e-6        # shift-invert sigma sits this far (relative) below the BO bound
 
 
 class SolverError(RuntimeError):
@@ -110,19 +110,21 @@ class ExactSolution:
     residuals: np.ndarray  # (k,) operator residual norms
 
 
-def _bo_lower_bound(h: FullHamiltonian, lam0=None) -> float:
-    """Born-Oppenheimer ground energy E_BO without the Born-Huang term: a lower bound on E_0.
+def _bo_lower_bound(h: FullHamiltonian, lam0=None, certify=True) -> tuple[float, float]:
+    """(E_BO, delta): the Born-Oppenheimer ground energy without the Born-Huang term, a lower
+    bound on E_0, and the one energy scale of every shift-invert solve built on it.
 
-    Each clamped slice obeys T2 + W[i] >= lambda_0(x1_i), so
-    H >= (T1 + diag lambda_0) (x) I and the ground energy of T1 + lambda_0
-    cannot exceed the lowest eigenvalue of H (Brattsev 1965, Epstein 1966).
-    ``lam0`` (n1 finite numbers, else a ValueError) is a caller's scan of the same model and
-    grids, or by default H's own slices' ground Ritz values from one ``grid.slice_eigenpairs``
-    call, the same bits as a one-surface scan. Either is certified: ``grid.sturm_counts`` must
-    count no eigenvalue of any slice T2 + W[i] at or below lam0[i] - delta, delta =
-    _SHIFT_OFFSET max(1, |E_BO|) / 2, else a SolverError names the first such slice. E_BO, a
-    one-row solve on the heavy grid, is a gated Ritz value, so the true BO bound lies above
-    E_BO - delta, above the shift.
+    Each clamped slice obeys T2 + W[i] >= lambda_0(x1_i), so H >= (T1 + diag lambda_0) (x) I and
+    the ground energy of T1 + lambda_0 cannot exceed the lowest eigenvalue of H (Brattsev 1965,
+    Epstein 1966). ``lam0`` (n1 finite numbers, else a ValueError) is a caller's scan of the
+    same model and grids, or by default H's own slices' ground Ritz values from one
+    ``grid.slice_eigenpairs`` call, the same bits as a one-surface scan. E_BO is a one-row solve
+    on the heavy grid; delta = max(5e-7 |E_BO|, 2 max_i ritz_error_bound(slice i) + 2
+    ritz_error_bound(heavy row)), twice the round-off of the Ritz values it rests on, at any
+    energy scale. With ``certify`` (the oracle; the compressed solve's Cholesky checks its own
+    shift), ``grid.sturm_counts`` must count no eigenvalue of any slice T2 + W[i] at or below
+    lam0[i] - delta, else a SolverError names the first such slice. E_BO is a gated Ritz value,
+    so the true BO bound lies above E_BO - delta, above the shift E_BO - 2 delta.
     """
     if lam0 is None:
         lam0 = slice_eigenpairs(h.grid2, h.mass2, h.potential_grid, 1)[0][0]
@@ -130,14 +132,18 @@ def _bo_lower_bound(h: FullHamiltonian, lam0=None) -> float:
     if lam0.shape != (h.grid1.n,) or not np.isfinite(lam0).all():
         raise ValueError(f"lam0 must be {h.grid1.n} finite numbers, one per heavy point")
     e_bo = float(slice_eigenpairs(h.grid1, h.mass1, lam0[None], 1)[0][0, 0])
-    delta = 0.5 * _SHIFT_OFFSET * max(1.0, abs(e_bo))
+    d1, e1 = kinetic_diagonals(h.grid1, h.mass1)
     d2, e2 = kinetic_diagonals(h.grid2, h.mass2)
-    below = np.flatnonzero(sturm_counts(d2 + h.potential_grid, e2, (lam0 - delta)[:, None]))
-    if below.size:
-        i = int(below[0])
-        raise SolverError(f"lambda_0 is not a lower bound: slice {i} is not positive definite "
-                          f"when shifted down by {float(lam0[i] - delta)!r}")
-    return e_bo
+    slices = d2 + h.potential_grid
+    delta = max(0.5e-6 * abs(e_bo), 2.0 * float(ritz_error_bound(slices, e2).max()
+                                                 + ritz_error_bound(d1 + lam0, e1)))
+    if certify:
+        below = np.flatnonzero(sturm_counts(slices, e2, (lam0 - delta)[:, None]))
+        if below.size:
+            i = int(below[0])
+            raise SolverError(f"lambda_0 is not a lower bound: slice {i} is not positive "
+                              f"definite when shifted down by {float(lam0[i] - delta)!r}")
+    return e_bo, delta
 
 
 def _ncv(k: int) -> int:
@@ -145,26 +151,26 @@ def _ncv(k: int) -> int:
     return 7 if k == 1 else max(20, 8 * k + 4)
 
 
-def _lowest_above(e_bo: float, dim: int, factor, k: int, seed: int, vectors: bool = True):
+def _lowest_above(e_bo: float, delta: float, dim: int, factor, k: int, seed: int, vectors=True):
     """Lowest k eigenvalues (ascending; with unit eigenvectors if ``vectors``) of a symmetric
-    operator bounded below by ``e_bo``, by shift-invert Lanczos.
+    operator bounded below by ``e_bo`` - ``delta`` (``_bo_lower_bound``), by shift-invert Lanczos.
 
-    The shift sits _SHIFT_OFFSET (relative) below the bound, so the k nearest
+    The shift sigma = e_bo - 2 delta sits below the bound, so the k nearest
     eigenvalues are the lowest k, and Lanczos converges in few solves.
     ``factor(sigma)`` factors the operator minus sigma I once and returns its
     solve, ARPACK's OPinv and all it reads of the operator. The start vector
     is seeded, so reruns are bit-identical. Any failure is a SolverError.
     """
     v0 = np.random.default_rng(seed).standard_normal(dim)
-    sigma = e_bo - _SHIFT_OFFSET * max(1.0, abs(e_bo))
+    sigma = e_bo - 2.0 * delta
     # ARPACK's default ncv, max(2k+1, 20), needs a restart at k >= 3 for some
     # start vectors; _ncv(k) takes one pass for every seed on the bundled
     # configs (k = 3..6), and at k = 1 7 vectors take 8 solves where 20 took
     # 21. ARPACK needs k < ncv <= dim.
     # ARPACK accepts a Ritz value theta once its error bound is at most tol max(eps^(2/3),
-    # |theta|) (dsconv), an absolute test that stops short of the residual contract where
-    # theta = 1/(E - sigma) is tiny; so it solves H/s, s a power of two (exact) near |sigma|.
-    s = 2.0 ** round(math.log2(max(1.0, abs(sigma))))
+    # |theta|) (dsconv), an absolute test that stops short of the residual contract where theta =
+    # 1/(E - sigma) is tiny; so it solves H/s, s a power of two (exact) near max(|sigma|, 2 delta).
+    s = 2.0 ** round(math.log2(max(abs(sigma), 2.0 * delta)))
     try:
         solve = factor(sigma)
         opinv = LinearOperator((dim, dim), matvec=lambda x: s * solve(x), dtype=float)
@@ -181,12 +187,12 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
                 lam0=None) -> ExactSolution:
     """Lowest k eigenpairs of the product-grid Hamiltonian.
 
-    ``_lowest_above`` with the Born-Oppenheimer lower bound ``_bo_lower_bound(h, lam0)``.
-    ``lam0``, lambda_0(x1_i) from a scan of the same model and grids, saves H's own n1 light
-    solves; either lambda_0 is certified before anything is factored, so a bad one is a
-    ValueError or a SolverError, never a wrong shift. H - sigma I is then positive
-    definite, so its unpivoted symmetric-mode factorization (an LDL^T, built once per
-    operator) is ARPACK's OPinv.
+    ``_lowest_above`` with the Born-Oppenheimer lower bound and energy scale
+    ``_bo_lower_bound(h, lam0)``. ``lam0``, lambda_0(x1_i) from a scan of the same model and
+    grids, saves H's own n1 light solves; either lambda_0 is certified before anything is
+    factored, so a bad one is a ValueError or a SolverError, never a wrong shift. H - sigma I
+    is then positive definite, so its unpivoted symmetric-mode factorization (an LDL^T, built
+    once per operator) is ARPACK's OPinv.
 
     Inversion parity. If W equals W[::-1, ::-1] bit for bit (``assemble_full_hamiltonian``
     makes it so where it is to round-off) and n1 n2 is even, H commutes with the flat-index
@@ -202,15 +208,15 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
     Most supernodes of these grid factors are 1-4 columns wide, so 5-column panels
     factor them in 13-23% less time than SuperLU's default 20, with the same fill.
     Residuals are verified against the matrix-free H (``FullHamiltonian.apply``), not the
-    matrices that were factored, ``|H v - E v| <= 1e-9 |E|``, and reported. A failed
-    factorization or Lanczos run is a SolverError.
+    matrices that were factored, ``|H v - E v| <= 1e-9 max(|E|, 2 delta)``, and reported. A
+    failed factorization or Lanczos run is a SolverError.
     """
     if not 1 <= k <= 20:
         raise ValueError("k must be between 1 and 20 (desk scale)")
     dim = h.dim
     if k >= dim:
         raise ValueError("k must be smaller than the product dimension")
-    e_bo = _bo_lower_bound(h, lam0)
+    e_bo, delta = _bo_lower_bound(h, lam0)
     w = h.potential_grid
     sectors = [(0.0, k)]  # (parity, levels); parity 0 is the full operator
     if dim % 2 == 0 and np.array_equal(w, w[::-1, ::-1]):
@@ -220,7 +226,7 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
         def factor(sigma, parity=parity):
             return splu(h.sector(parity, sigma), permc_spec="MMD_AT_PLUS_A",
                         diag_pivot_thresh=0.0, panel_size=5, options={"SymmetricMode": True}).solve
-        v, x = _lowest_above(e_bo, dim // 2 if parity else dim, factor, levels, seed)
+        v, x = _lowest_above(e_bo, delta, dim // 2 if parity else dim, factor, levels, seed)
         vals.append(v)
         vecs.append(np.vstack([x, parity * x[::-1]]) / math.sqrt(2.0) if parity else x)
     vals, vecs = np.concatenate(vals), np.hstack(vecs)
@@ -229,11 +235,11 @@ def solve_exact(h: FullHamiltonian, k: int, seed: int = DEFAULT_SEED,
 
     resid = (h.apply(u) - e * u for e, u in zip(vals, vecs.T.reshape(k, h.grid1.n, h.grid2.n)))
     residuals = np.array([math.sqrt(_grid_dot(r, r)) for r in resid])
-    bounds = RESIDUAL_RTOL * np.maximum(np.abs(vals), 1e-6)
+    bounds = RESIDUAL_RTOL * np.maximum(np.abs(vals), 2.0 * delta)
     if np.any(residuals > bounds):
         raise SolverError(
             f"eigensolver residuals {residuals.tolist()} exceed the contract "
-            f"{RESIDUAL_RTOL} * |E|")
+            f"{RESIDUAL_RTOL} * max(|E|, {2.0 * delta!r})")
 
     # Deterministic global signs; rescale unit Euclidean vectors to the
     # doubly-weighted norm.

@@ -25,8 +25,8 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .clamped import ElectronicField
-from .exact import DEFAULT_SEED, FullHamiltonian, _lowest_above
-from .grid import kinetic_diagonals, slice_eigenpairs
+from .exact import DEFAULT_SEED, FullHamiltonian, _bo_lower_bound, _lowest_above
+from .grid import kinetic_diagonals
 
 
 @dataclass
@@ -89,10 +89,10 @@ def solve_effective(p: Projector, h: FullHamiltonian, k: int) -> EffectiveSoluti
 
     The zero eigenvalue carried by everything orthogonal to V is an artifact
     of the projection and is excluded: the solve happens inside V, on the band.
-    For v in V, <v, H v> >= E_BO |v|^2, E_BO the ground energy of T1 + diag lambda_0 (a
-    one-row ``grid.slice_eigenpairs`` solve), so the oracle's shift-invert route applies.
-    The band's in-place Cholesky checks that shift, so lambda_0 needs no certificate: one
-    not below the compressed spectrum is a SolverError, never a wrong answer.
+    For v in V, <v, H v> >= E_BO |v|^2, E_BO the ground energy of T1 + diag lambda_0, so the
+    oracle's shift-invert route applies, E_BO and delta from ``_bo_lower_bound`` on the scanned
+    lambda_0. The band's in-place Cholesky checks that shift, so lambda_0 needs no certificate:
+    one not below the compressed spectrum is a SolverError, never a wrong answer.
     """
     if not 1 <= k < p.subspace_dim:
         raise ValueError(f"need 1 <= k < {p.subspace_dim}, got k = {k}")
@@ -103,6 +103,6 @@ def solve_effective(p: Projector, h: FullHamiltonian, k: int) -> EffectiveSoluti
         cb = cholesky_banded(band, overwrite_ab=True)
         return lambda x: cho_solve_banded((cb, False), x, check_finite=False)
 
-    e_bo = float(slice_eigenpairs(h.grid1, h.mass1, p.field.energies[0][None], 1)[0][0, 0])
-    energies = _lowest_above(e_bo, p.subspace_dim, factor, k, DEFAULT_SEED, vectors=False)
+    e_bo, delta = _bo_lower_bound(h, p.field.energies[0], certify=False)
+    energies = _lowest_above(e_bo, delta, p.subspace_dim, factor, k, DEFAULT_SEED, vectors=False)
     return EffectiveSolution(rank=p.rank, energies=energies)

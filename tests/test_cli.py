@@ -617,6 +617,44 @@ def test_every_command_runs_on_split_slices(tmp_path, split_slices, command):
     assert _run(command, split_slices[0], tmp_path / "out") == 0
 
 
+# Fuzzed configs whose spectrum lies far below 1, where the oracle's shift once sat
+# 1e-6 max(1, |E_BO|) below E_BO. Soft-Coulomb at s = 771: the six lowest levels lie within
+# 1.2e-6 relative of each other, and ARPACK did not converge (tools/fuzz_configs.py seed 4,
+# config 108). Harmonic coupling at m = 2.2e26: E_0 = 2.7e-11 came back 0.0 (seed 3, 114).
+CLUSTER_FAR_BELOW_ONE = {
+    "schema_version": 1,
+    "model": {"M": 2.7083497633657486e23, "m": 2.9149814644520197e20,
+              "potential": {"family": "soft_coulomb", "z": 0.015510251709040272,
+                            "s": 770.9603453016068, "k1": 0.0010307386331159995}},
+    "grid1": {"x_min": -0.11958153450039719, "x_max": 0.11958153450039719, "n": 14},
+    "grid2": {"x_min": -13.063300208615184, "x_max": 13.063300208615184, "n": 30},
+    "n_surfaces": 3, "projector_rank": 2, "nuclear_levels": 2, "exact_k": 4,
+    "sweep": [11676.08540276968, 33463.82849294086],
+}
+HARMONIC_FAR_BELOW_ONE = {
+    "schema_version": 1,
+    "model": {"M": 4.318107228375731e29, "m": 2.201411267737661e26,
+              "potential": {"family": "harmonic_coupling", "k1": 0.34780958039211546,
+                            "k2": 578.8135799243449}},
+    "grid1": {"x_min": -10.771828379218618, "x_max": 10.771828379218618, "n": 35},
+    "grid2": {"x_min": -1.139596854824772, "x_max": 1.139596854824772, "n": 25},
+    "n_surfaces": 2, "projector_rank": 2, "nuclear_levels": 2, "exact_k": 4,
+    "sweep": [20.10290220456695, 75136.36656353158],
+}
+
+
+@pytest.mark.parametrize("config, command", [(CLUSTER_FAR_BELOW_ONE, "project"),
+                                             (CLUSTER_FAR_BELOW_ONE, "compare"),
+                                             (CLUSTER_FAR_BELOW_ONE, "scaling"),
+                                             (HARMONIC_FAR_BELOW_ONE, "compare")],
+                         ids=["cluster-project", "cluster-compare", "cluster-scaling",
+                              "harmonic-compare"])
+def test_oracle_commands_exit_0_on_a_spectrum_far_below_one(tmp_path, config, command):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert _run(command, path, tmp_path / "out") == 0
+
+
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
 def test_bundled_configs_load_across_the_benchmark_masses(tmp_path, config):
     for M in (1.0, 2000.0):

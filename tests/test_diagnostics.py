@@ -250,6 +250,15 @@ def test_nuclear_region_matches_gaussian_width(harmonic2000, harmonic2000_setup)
     assert lo == pytest.approx(-2.0 * sigma, rel=0.02)
 
 
+def test_nuclear_region_of_a_one_point_state_spans_its_point():
+    # a heavy state on one grid point has zero width; the region still spans one spacing
+    # either side of it, where a width-only region was the empty interval (0, 0)
+    g = build_grid(-1.0, 1.0, 9)
+    values = np.where(np.arange(9) == 4, 1.0 / np.sqrt(g.h), 0.0)
+    lo, hi = nuclear_region(GridFunction(g, values))
+    assert lo < g.points[4] < hi
+
+
 def test_t1_scale_candidates(harmonic2000, harmonic2000_setup):
     spec, _, _ = harmonic2000_setup
     cands = t1_scale_candidates(harmonic2000.nuclear[0], spec.M)

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 from scipy.sparse.linalg import eigsh, splu
 
 from bolab import clamped, exact
 from bolab.clamped import scan_pes
 from bolab.cli import load_config, main
 from bolab.diagnostics import run_pipeline
-from bolab.exact import (_SHIFT_OFFSET, DEFAULT_SEED, SolverError, _bo_lower_bound, _ncv,
+from bolab.exact import (DEFAULT_SEED, SolverError, _bo_lower_bound, _ncv,
                          assemble_full_hamiltonian, product_inner, rayleigh_quotient, solve_exact)
 from bolab.grid import (build_grid, fix_signs, inversion_even, kinetic_diagonals,
                         second_difference, slice_eigenpairs, sturm_counts)
@@ -171,14 +172,14 @@ def _oracle_cases(harmonic2000, separable_run, soft_coulomb_oracle):
 def test_bo_lower_bound_sits_below_the_exact_ground_energy(harmonic2000, separable_run,
                                                            soft_coulomb_oracle):
     for h, _, exact in _oracle_cases(harmonic2000, separable_run, soft_coulomb_oracle):
-        assert _bo_lower_bound(h) <= exact[0]
+        assert _bo_lower_bound(h)[0] <= exact[0]
 
 
 def test_bo_lower_bound_is_the_pipeline_bo_energy(harmonic2000, separable_run,
                                                   soft_coulomb_oracle):
     # built from H alone, it reproduces scan_pes + solve_nuclear on surface 0
     for h, bo_energy, _ in _oracle_cases(harmonic2000, separable_run, soft_coulomb_oracle):
-        assert _bo_lower_bound(h) == pytest.approx(bo_energy, rel=1e-12)
+        assert _bo_lower_bound(h)[0] == pytest.approx(bo_energy, rel=1e-12)
 
 
 def test_bo_lower_bound_solves_half_the_slices_of_a_centred_box(solved_rows, harmonic2000):
@@ -189,9 +190,36 @@ def test_bo_lower_bound_solves_half_the_slices_of_a_centred_box(solved_rows, har
 
 
 def test_bo_lower_bound_is_exact_for_a_separable_potential(separable_run):
-    # the tightest case: the shift sits only 1e-6 |E| below E_0
+    # the tightest case: the shift sits only 2 delta below E_0, delta from _bo_lower_bound
     e0 = separable_run.exact_energies[0]
-    assert abs(_bo_lower_bound(separable_run.hamiltonian) - e0) <= 1e-10 * abs(e0)
+    assert abs(_bo_lower_bound(separable_run.hamiltonian)[0] - e0) <= 1e-10 * abs(e0)
+
+
+# Fuzzed separable configs (M, m, k1, k2, x1_max, n1, x2_max, n2) whose spectrum lies far
+# below 1, where the oracle's shift once sat 1e-6 below E_BO and E_0 rounded to 0.0
+SEPARABLE_FAR_BELOW_ONE = {
+    "seed3_config82": (4.812884848580055e30, 1.9924817492581866e28, 8.541193280331075,
+                       0.0779543960113351, 1.5904815538245447, 19, 3.61833873323005, 39),
+    "seed4_config23": (3.417212461486707e26, 5.003087065345684e23, 108.67670166933561,
+                       0.09051684076387247, 17.625232540566017, 15, 6.827683828582307, 39),
+}
+
+
+@pytest.mark.parametrize("M, m, k1, k2, x1_max, n1, x2_max, n2",
+                         SEPARABLE_FAR_BELOW_ONE.values(), ids=SEPARABLE_FAR_BELOW_ONE)
+def test_oracle_resolves_a_separable_ground_energy_far_below_one(M, m, k1, k2, x1_max, n1,
+                                                                 x2_max, n2):
+    # E_0 = 1.5e-27 and 1.7e-23: the reference is the sum of the two factors' ground
+    # energies by high-relative-accuracy bisection, and the oracle must meet it to eps 2 delta
+    spec = ModelSpec(M=M, m=m, potential=SeparableHarmonic(k1, k2))
+    g1, g2 = build_grid(-x1_max, x1_max, n1), build_grid(-x2_max, x2_max, n2)
+    h = assemble_full_hamiltonian(spec, g1, g2)
+    ref = 0.0
+    for g, mass, k in [(g1, M, k1), (g2, m, k2)]:
+        d, e = kinetic_diagonals(g, mass)
+        ref += dstebz(d + 0.5 * k * g.points ** 2, e, 2, 0.0, 0.0, 1, 1, 1e-300, "E")[1][0]
+    floor = np.finfo(float).eps * 2.0 * _bo_lower_bound(h)[1]
+    assert abs(solve_exact(h, 1).energies[0] - ref) <= floor
 
 
 @pytest.fixture
@@ -259,8 +287,8 @@ def test_shift_invert_matches_eigsh_own_factorization(harmonic2000, soft_coulomb
              (soft_h, soft_energies),
              *((h, solve_exact(h, 1).energies) for h in sweep_hamiltonians)]
     for h, energies in cases:
-        e_bo = _bo_lower_bound(h)
-        sigma = e_bo - _SHIFT_OFFSET * max(1.0, abs(e_bo))
+        e_bo, delta = _bo_lower_bound(h)
+        sigma = e_bo - 2.0 * delta
         v0 = np.random.default_rng(DEFAULT_SEED).standard_normal(h.dim)
         ref = np.sort(eigsh(h.sector(0), k=len(energies), sigma=sigma, v0=v0,
                             return_eigenvectors=False))
@@ -464,8 +492,8 @@ def _soft_coulomb_box(x1_max=1.6, n1=24, n2=40):
 
 def _eigsh_reference(h, k):
     """The lowest k energies of the full H from eigsh's own (pivoted LU) factorization."""
-    e_bo = _bo_lower_bound(h)
-    sigma = e_bo - _SHIFT_OFFSET * max(1.0, abs(e_bo))
+    e_bo, delta = _bo_lower_bound(h)
+    sigma = e_bo - 2.0 * delta
     v0 = np.random.default_rng(DEFAULT_SEED).standard_normal(h.dim)
     return np.sort(eigsh(h.sector(0), k=k, sigma=sigma, v0=v0, return_eigenvectors=False))
 
@@ -510,7 +538,7 @@ def test_asymmetric_potential_factors_the_full_operator_once(factored_dims):
     def factor(sigma):
         return splu(h.sector(0, sigma), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     panel_size=5, options={"SymmetricMode": True}).solve
-    vals, vecs = exact._lowest_above(_bo_lower_bound(h), h.dim, factor, 3, DEFAULT_SEED)
+    vals, vecs = exact._lowest_above(*_bo_lower_bound(h), h.dim, factor, 3, DEFAULT_SEED)
     states = fix_signs(vecs.T.copy()).reshape(3, 24, 40) / np.sqrt(h.grid1.h * h.grid2.h)
     assert sol.energies.tobytes() == vals.tobytes()
     assert sol.states.tobytes() == states.tobytes()

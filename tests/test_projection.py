@@ -106,13 +106,13 @@ def test_tiny_subspace_matches_band_eigenvalues():
 
 def test_shift_above_the_compressed_spectrum_is_a_solver_error(monkeypatch):
     # the banded Cholesky of band - sigma I checks the lower bound rather than trusting it
-    from bolab import projection
+    from bolab import exact
     from bolab.exact import SolverError
 
     field, h = _small_full_rank_setup()
     p = build_projector(field, 2)
     top = float(eigvals_banded(effective_matrix(p, h))[-1])
-    monkeypatch.setattr(projection, "slice_eigenpairs", lambda *args: (np.array([[top + 1.0]]), False))
+    monkeypatch.setattr(exact, "slice_eigenpairs", lambda *args: (np.array([[top + 1.0]]), False))
     with pytest.raises(SolverError, match="not positive definite"):
         solve_effective(p, h, 1)
 

@@ -19,9 +19,10 @@ directory. A config draws:
 
 Exit 0 (ran) and exit 2 (refused) are the contract. Any other exit code, 3 for
 a numerical failure, or an exception out of ``main`` is a failure: the script
-writes one JSON line to stdout for it, with ``config``, ``command``, ``exit``
-(null where ``main`` raised) and ``stderr``, the last line that the command
-wrote to stderr (the exception where it raised).
+writes one JSON line to stdout for it, with ``index`` (the config's 0-based
+position in the seed's draw, so "seed S, config i" names it), ``config``,
+``command``, ``exit`` (null where ``main`` raised) and ``stderr``, the last line
+that the command wrote to stderr (the exception where it raised).
 
 Each config that loads also has its answers checked through the library: every
 level of every slice of ``scan_pes`` (``n_surfaces`` levels), and every level of
@@ -30,7 +31,7 @@ level of every slice of ``scan_pes`` (``n_surfaces`` levels), and every level of
 of ``model.sample_potential``, or the heavy kinetic operator plus the scanned
 surface), within ``grid.ritz_error_bound`` of that tridiagonal. A solve that
 raises is left to the commands' exit codes. Each miss is one JSON line with
-``config``, ``check`` (``scan`` or ``nuclear``), ``row`` (the slice, or the
+``index``, ``config``, ``check`` (``scan`` or ``nuclear``), ``row`` (the slice, or the
 surface), ``level``, ``value``, ``reference`` and ``bound``. Exits 1 if it
 wrote any line, else 0.
 """
@@ -142,17 +143,17 @@ def main(argv=None) -> int:
         parser.error("--seed and --count must be non-negative")
     rng = np.random.default_rng(args.seed)
     failed = False
-    for _ in range(args.count):
+    for index in range(args.count):
         config = draw_config(rng)
         for command in cli.COMMANDS:
             code, last = run_command(command, config)
             if code not in (0, 2):
                 failed = True
-                print(json.dumps({"config": config, "command": command, "exit": code,
-                                  "stderr": last}), flush=True)
+                print(json.dumps({"index": index, "config": config, "command": command,
+                                  "exit": code, "stderr": last}), flush=True)
         for miss in answer_misses(config):
             failed = True
-            print(json.dumps({"config": config, **miss}), flush=True)
+            print(json.dumps({"index": index, "config": config, **miss}), flush=True)
     return 1 if failed else 0
 
 

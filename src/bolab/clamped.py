@@ -8,9 +8,9 @@ on the electronic grid. Scanning X over the nuclear grid produces the
 energy surfaces lambda_a(x1) and a family of slice eigenfunctions
 psi_a(x1; x2), sign-fixed along x1 so consecutive slices overlap with
 non-negative real part. The slices go through one call of the batched
-tridiagonal solver of :mod:`bolab.grid`, so lambda_a are Ritz values, each
-within ``grid.ritz_error_bound`` of an exact slice eigenvalue and inside that
-eigenvalue's bisection bracket. The slices read the oracle's W, from
+tridiagonal solver of :mod:`bolab.grid`, whose gate makes each lambda_a a Ritz
+value within s = ``grid.ritz_error_bound`` of the slice's a-th eigenvalue, with
+a residual within s. The slices read the oracle's W, from
 ``model.sample_potential``: where it is inversion-even, the slice at -X is the
 slice at X reflected in x2, so half the slices are solved and half mirrored.
 The surfaces feed the nuclear solves in :mod:`bolab.bo`; the gap report
@@ -22,12 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid1D, GridFunction, slice_eigenpairs
+from .grid import Grid1D, GridFunction, kinetic_diagonals, ritz_error_bound, slice_eigenpairs
 from .model import ModelSpec, sample_potential
 
-# Adjacent slice eigenvalues closer than this (relative to the local scale)
-# are treated as degenerate and aligned as a subspace.
-DEGENERACY_RTOL = 1e-10
 # Consecutive-slice overlap magnitude below this flags a possible crossing.
 CROSSING_OVERLAP = 0.5
 # The heavy regime holds where the minimum gap is at least this many kinetic scales.
@@ -42,10 +39,10 @@ class ElectronicField:
     slice); ``states[a, i, :]`` the matching slice eigenfunction, normalized
     under the grid2-weighted inner product and phase-fixed along i.
     ``mirrored`` records that the scan solved slices 0 .. ceil(n1/2) - 1 of an
-    inversion-even W and mirrored the rest. With ``degenerate_flags`` empty,
-    ``phase_fix`` only flipped signs, so slice n1-1-i is then exactly slice i
-    reversed in x2, up to sign; at a flagged slice it rotated a near-degenerate
-    group, which breaks that.
+    inversion-even W and mirrored the rest. ``degenerate_flags`` lists the slices where
+    ``phase_fix`` tied two levels that the solver's gate cannot tell apart. With none,
+    it only flipped signs, so slice n1-1-i is then exactly slice i reversed in x2, up to
+    sign; at a flagged slice it rotated a tied group, which breaks that.
     """
 
     grid1: Grid1D
@@ -54,7 +51,7 @@ class ElectronicField:
     energies: np.ndarray           # (A, n1)
     states: np.ndarray             # (A, n1, n2)
     crossing_flags: list = field(default_factory=list)    # (slice i, surface a) pairs
-    degenerate_flags: list = field(default_factory=list)  # slice indices with near-degenerate pairs
+    degenerate_flags: list = field(default_factory=list)  # slice indices with tied pairs
     mirrored: bool = False
 
     def state(self, a: int, i: int) -> GridFunction:
@@ -83,21 +80,21 @@ class HeavyReport:
     threshold: float
 
 
-def phase_fix(states: np.ndarray, energies: np.ndarray, h2: float):
+def phase_fix(states: np.ndarray, energies: np.ndarray, h2: float, bound: np.ndarray):
     """Sign/phase sweep in ascending slice order; idempotent.
 
-    Flips each state so its overlap with the same surface one slice earlier
-    has non-negative real part: between near-degenerate slices a surface's
-    sign is the running product of its neighbour-overlap signs, one einsum
-    and one cumprod per stretch. At a slice with near-degenerate surfaces each
-    such group is aligned to the previous slice as a subspace (orthogonal
-    Procrustes) instead of surface by surface, and the product restarts there.
+    Levels a and a + 1 of slice i tie where their gap is at most 2 bound[i], the widest an
+    exact tie can show when each is within ``bound`` (the gate s = ``grid.ritz_error_bound``
+    per slice) of its eigenvalue. Flips each state so its overlap with the same surface one
+    slice earlier has non-negative real part: between tied slices a sign is the running
+    product of neighbour-overlap signs, one einsum and one cumprod per stretch. At a tied
+    slice each tied group is aligned to the previous slice as a subspace (orthogonal
+    Procrustes), and the product restarts there; an untied level keeps its own vector.
     Returns (states, crossing_flags, degenerate_flags) without mutating the input.
     """
     out = states.copy()
     A, n1, _ = out.shape
-    scale = np.maximum(np.max(np.abs(energies), axis=0), 1.0)
-    close = np.diff(energies, axis=0) < DEGENERACY_RTOL * scale  # (A - 1, n1): a, a + 1 tie at i
+    close = np.diff(energies, axis=0) <= 2.0 * bound  # (A - 1, n1): a, a + 1 tie at i
     degenerate = (np.flatnonzero(close[:, 1:].any(axis=0)) + 1).tolist()
     weak = np.zeros((n1, A), dtype=bool)  # |overlap with the previous slice| < CROSSING_OVERLAP
     start = 1
@@ -124,15 +121,18 @@ def scan_pes(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, threads: int
 
     The slices of ``model.sample_potential``'s W go through one ``grid.slice_eigenpairs``
     call (0 .. ceil(n1/2) - 1, the rest mirrored, if W is inversion-even; the field's
-    ``mirrored`` records which), then one sequential sweep phase-fixes them. A ValueError
-    unless 1 <= A <= n2; a failed solve is a RuntimeError. ``threads`` is ignored.
+    ``mirrored`` records which), then one sequential sweep phase-fixes them, reading ties
+    from the gate's bound on each slice of that W. A ValueError unless 1 <= A <= n2; a failed
+    solve is a RuntimeError. ``threads`` is ignored.
     """
     if not 1 <= A <= grid2.n:
         raise ValueError(f"need 1 <= A <= n2, got A = {A}, n2 = {grid2.n}")
     states = np.empty((A, grid1.n, grid2.n))
-    energies, mirrored = slice_eigenpairs(grid2, spec.m, sample_potential(spec, grid1, grid2), A, states)
+    w = sample_potential(spec, grid1, grid2)
+    energies, mirrored = slice_eigenpairs(grid2, spec.m, w, A, states)
     states /= np.sqrt(grid2.h)  # unit Euclidean vectors to the h2-weighted norm
-    states, crossing, degenerate = phase_fix(states, energies, grid2.h)
+    d, e = kinetic_diagonals(grid2, spec.m)
+    states, crossing, degenerate = phase_fix(states, energies, grid2.h, ritz_error_bound(d + w, e))
     return ElectronicField(grid1=grid1, grid2=grid2, n_surfaces=A,
                            energies=energies, states=states, crossing_flags=crossing,
                            degenerate_flags=degenerate, mirrored=mirrored)

@@ -26,13 +26,38 @@ SPLIT_SLICES = {
     "sweep": [10.75, 84153.4],
 }
 
+# A fuzzed config whose light levels lie about 2e-20 apart, over 2e5 times the slice solver's
+# gate bound: a tie rule scaled by max(|lambda|, 1) once took every slice's resolved levels
+# for ties and rotated them into each other, and the BO state's relative error read 5.7e-5.
+CLOSE_LEVELS = {
+    "schema_version": 1,
+    "model": {"M": 2.222771968706994e+24, "m": 1.3722460818999865e+20,
+              "potential": {"family": "soft_coulomb", "z": 0.0076870473461172345,
+                            "s": 222.49532289033576, "k1": 0.005233917470220791}},
+    "grid1": {"x_min": -2.0269898711413785, "x_max": 2.0269898711413785, "n": 16},
+    "grid2": {"x_min": -8.942527704929677, "x_max": 8.942527704929677, "n": 31},
+    "n_surfaces": 4, "projector_rank": 4, "nuclear_levels": 3, "exact_k": 3,
+    "sweep": [4.565568868652451, 31.698305517703417],
+}
+
+
+def _as_config_file(tmp_path, name, config):
+    """``config`` as a file and as ``load_config`` reads it: (path, config)."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    return path, load_config(path)
+
 
 @pytest.fixture
 def split_slices(tmp_path):
     """SPLIT_SLICES as a config file and as ``load_config`` reads it: (path, config)."""
-    path = tmp_path / "split_slices.json"
-    path.write_text(json.dumps(SPLIT_SLICES))
-    return path, load_config(path)
+    return _as_config_file(tmp_path, "split_slices", SPLIT_SLICES)
+
+
+@pytest.fixture
+def close_levels(tmp_path):
+    """CLOSE_LEVELS as a config file and as ``load_config`` reads it: (path, config)."""
+    return _as_config_file(tmp_path, "close_levels", CLOSE_LEVELS)
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from bolab.clamped import (CROSSING_OVERLAP, DEGENERACY_RTOL, ElectronicField, heavy_gap_report,
-                           phase_fix, scan_pes)
+from bolab.clamped import CROSSING_OVERLAP, ElectronicField, heavy_gap_report, phase_fix, scan_pes
+from bolab.diagnostics import compare_report
 from bolab.grid import (_EPS, _lowest_eigenpairs, build_grid, inversion_even, kinetic_diagonals,
                         ritz_error_bound, slice_eigenpairs)
 from bolab.model import (HarmonicCoupling, ModelSpec, SeparableHarmonic, SoftCoulomb,
@@ -19,6 +19,12 @@ SOFT_COULOMB_E0 = -0.6697771382
 
 def _harmonic_spec(M=2000.0, m=1.0, k1=1.0, k2=1.0):
     return ModelSpec(M=M, m=m, potential=HarmonicCoupling(k1, k2))
+
+
+def _gate_bound(spec, grid1, grid2):
+    """The solver's gate ``ritz_error_bound`` of every slice of the scan's W, shape (n1,)."""
+    d, e = kinetic_diagonals(grid2, spec.m)
+    return ritz_error_bound(d + sample_potential(spec, grid1, grid2), e)
 
 
 def _one_slice(spec, grid2, X, A):
@@ -123,9 +129,10 @@ def test_scan_phase_continuity(harmonic2000):
         assert np.all(overlaps.real >= 0.0)
 
 
-def test_phase_fix_idempotent(harmonic2000):
+def test_phase_fix_idempotent(harmonic2000, harmonic2000_setup):
     field = harmonic2000.field
-    again, _, _ = phase_fix(field.states, field.energies, field.grid2.h)
+    bound = _gate_bound(*harmonic2000_setup)
+    again, _, _ = phase_fix(field.states, field.energies, field.grid2.h, bound)
     assert np.array_equal(again, field.states)
 
 
@@ -142,24 +149,23 @@ def test_phase_fix_degenerate_subspace_alignment():
         phi = rng.uniform(0.3, 1.2)
         rot = np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]])
         states[:, i] = rot @ basis
-    energies = np.ones((2, n1))  # exactly degenerate
-    fixed, crossing, degenerate = phase_fix(states, energies, 0.5)
+    energies = np.ones((2, n1))  # exactly degenerate: tied under any bound >= 0
+    fixed, crossing, degenerate = phase_fix(states, energies, 0.5, np.zeros(n1))
     assert degenerate == [1, 2, 3]
     for i in range(1, n1):
         overlap = 0.5 * fixed[:, i - 1] @ fixed[:, i].T
         assert np.allclose(overlap, np.eye(2), atol=1e-12)
 
 
-def _phase_fix_loop(states, energies, h2):
+def _phase_fix_loop(states, energies, h2, bound):
     # reference: the slice-by-slice, surface-by-surface sweep that phase_fix vectorises
     out = states.copy()
     A, n1, _ = out.shape
     crossing, degenerate = [], []
     for i in range(1, n1):
-        tol = DEGENERACY_RTOL * max(np.max(np.abs(energies[:, i])), 1.0)
         groups = [[0]]
         for a in range(1, A):
-            if energies[a, i] - energies[a - 1, i] < tol:
+            if energies[a, i] - energies[a - 1, i] <= 2.0 * bound[i]:
                 groups[-1].append(a)
             else:
                 groups.append([a])
@@ -179,7 +185,8 @@ def _phase_fix_loop(states, energies, h2):
 
 @pytest.mark.parametrize("case", range(12))
 def test_phase_fix_matches_the_slice_by_slice_sweep(case):
-    # random signs, phases, weak overlaps and degenerate slices (some back to back)
+    # random signs, phases, weak overlaps and degenerate slices (some back to back); the
+    # planted exact ties are tied under any bound, and a random bound may tie more pairs
     rng = np.random.default_rng(case)
     A, n1, n2 = 1 + case % 4, 2 + 3 * case, 6
     states = rng.standard_normal((A, 1, n2)) + 0.8 * rng.standard_normal((A, n1, n2))
@@ -192,13 +199,53 @@ def test_phase_fix_matches_the_slice_by_slice_sweep(case):
         for i in rng.integers(1, n1, size=1 + case // 2):
             a = rng.integers(A - 1)
             energies[a + 1, i] = energies[a, i]
+    bound = rng.uniform(0.0, 0.02, n1)
     before = states.copy()
-    got = phase_fix(states, energies, 0.7)
-    want = _phase_fix_loop(states, energies, 0.7)
+    got = phase_fix(states, energies, 0.7, bound)
+    want = _phase_fix_loop(states, energies, 0.7, bound)
     assert np.array_equal(states, before)
     assert np.array_equal(got[0], want[0])
     assert got[1:] == want[1:]
     assert want[1] and (A == 1 or want[2])
+
+
+def _state_residuals(field, d, e):
+    """(A, n1) residuals ||(T_i - lambda_a(i)) psi|| of the unit vectors psi of ``field``'s
+    states, T_i the tridiagonal (``d[i]``, ``e``)."""
+    psi = np.sqrt(field.grid2.h) * field.states
+    tpsi = psi * d
+    tpsi[..., :-1] += e * psi[..., 1:]
+    tpsi[..., 1:] += e * psi[..., :-1]
+    return np.linalg.norm(tpsi - field.energies[..., None] * psi, axis=2)
+
+
+@pytest.mark.parametrize("potential, scaled", [
+    (HarmonicCoupling(1.0, 1.0), HarmonicCoupling(2.0 ** -40, 2.0 ** -40)),
+    (SoftCoulomb(1.0, 1.0, 1.0), SoftCoulomb(2.0 ** -40, 1.0, 2.0 ** -40)),
+], ids=["harmonic", "soft_coulomb"])
+def test_scan_is_exactly_covariant_under_a_power_of_two_energy_scale(potential, scaled):
+    # masses x 2^40 and couplings x 2^-40 scale every slice matrix by 2^-40 exactly: its
+    # levels scale bit for bit, its states stay, and the tie rule, read from the gate's
+    # bound, scales with them (a rule with a floor at 1 once tied 39 of the 40 small slices)
+    g1, g2 = build_grid(-1.5, 1.5, 40), build_grid(-7.0, 7.0, 40)
+    field = scan_pes(ModelSpec(M=100.0, m=1.0, potential=potential), g1, g2, 3)
+    small = scan_pes(ModelSpec(M=100.0 * 2.0 ** 40, m=2.0 ** 40, potential=scaled), g1, g2, 3)
+    assert small.energies.tobytes() == (2.0 ** -40 * field.energies).tobytes()
+    assert small.states.tobytes() == field.states.tobytes()
+    assert field.degenerate_flags == small.degenerate_flags == []
+
+
+def test_resolved_close_levels_keep_their_own_states(close_levels):
+    # levels about 2e-20 apart and 2e5 gate bounds apart are resolved: each state stays its
+    # level's Ritz vector, within the gate, and the BO state matches the oracle's ground state
+    cfg = close_levels[1]
+    field = scan_pes(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces)
+    d, e = kinetic_diagonals(cfg.grid2, cfg.model.m)
+    d = d + sample_potential(cfg.model, cfg.grid1, cfg.grid2)
+    assert np.all(_state_residuals(field, d, e) <= ritz_error_bound(d, e))
+    report = compare_report(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces, cfg.projector_rank,
+                            nuclear_levels=cfg.nuclear_levels, seed=cfg.seed)
+    assert report.rows[0].relative_error <= 1e-12
 
 
 def test_scan_threaded_is_bit_identical():
@@ -260,9 +307,9 @@ def test_off_centre_scan_solves_every_slice_as_before(solved_rows):
     assert solved_rows == [g1.n]
     d, e = kinetic_diagonals(g2, spec.m)
     states = np.empty((3, g1.n, g2.n))
-    energies = _lowest_eigenpairs(
-        d + evaluate_potential(spec, g1.points[:, None], g2.points), e, 3, states)
-    states, _, _ = phase_fix(states / np.sqrt(g2.h), energies, g2.h)
+    w = evaluate_potential(spec, g1.points[:, None], g2.points)
+    energies = _lowest_eigenpairs(d + w, e, 3, states)
+    states, _, _ = phase_fix(states / np.sqrt(g2.h), energies, g2.h, ritz_error_bound(d + w, e))
     assert field.energies.tobytes() == energies.tobytes()
     assert field.states.tobytes() == states.tobytes()
 

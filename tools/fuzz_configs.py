@@ -1,5 +1,5 @@
 """Run every CLI command on random small configs: each config that loads either runs or is refused,
-and its scan and nuclear levels are the indexed eigenvalues.
+its scan and nuclear levels are the indexed eigenvalues, and its scanned states their vectors.
 
     python tools/fuzz_configs.py --seed S --count N
 
@@ -32,8 +32,25 @@ of ``model.sample_potential``, or the heavy kinetic operator plus the scanned
 surface), within ``grid.ritz_error_bound`` of that tridiagonal. A solve that
 raises is left to the commands' exit codes. Each miss is one JSON line with
 ``index``, ``config``, ``check`` (``scan`` or ``nuclear``), ``row`` (the slice, or the
-surface), ``level``, ``value``, ``reference`` and ``bound``. Exits 1 if it
-wrote any line, else 0.
+surface), ``level``, ``value``, ``reference`` and ``bound``.
+
+Every scanned state is checked too: the residual ``||(T_i - lambda_a(i)) psi||`` of
+the unit vector psi of state a at slice i, T_i the slice's tridiagonal, must be
+within c s, s its ``ritz_error_bound`` and c = sqrt(A) + 2 (A - 1) + 1, A =
+``n_surfaces``. The solver's gate leaves each Ritz pair (theta_b, y_b) of T_i with
+residual at most s. ``clamped.phase_fix`` keeps a level that ties no neighbour up
+to sign, and replaces the vectors of a tied group of g <= A levels, adjacent gaps
+at most 2 s so |theta_b - theta_a| <= 2 (g - 1) s, by psi_a = sum_b Q_ab y_b with Q
+orthogonal, keeping theta_a. Then (T_i - theta_a) psi_a = sum_b Q_ab (T_i - theta_b)
+y_b + sum_b Q_ab (theta_b - theta_a) y_b: the first term is at most sqrt(g) s, by
+Cauchy-Schwarz on a unit row of Q, and the second at most 2 (g - 1) s, the y_b
+being orthonormal. The last s is for rounding: the gate's residual and this one
+are each computed in floating point, within about 4 eps (|T_i| + |theta_a|) <= s/2
+of the exact one, |T_i| being the norm bound that s is 16 eps of. A miss is one
+JSON line with ``check`` ``state``, ``row`` (the slice), ``level``, ``residual``
+and ``bound`` (c s). A level that is a ``scan`` miss is not checked again: its
+residual against a wrong level says nothing new. Exits 1 if it wrote any line,
+else 0.
 """
 
 import argparse
@@ -110,9 +127,26 @@ def _misses(check: str, values: np.ndarray, d: np.ndarray, e: np.ndarray) -> lis
             for a, i in zip(*np.nonzero(np.abs(values - ref) > bound))]
 
 
+def _state_misses(field, d: np.ndarray, e: np.ndarray, skip: set) -> list:
+    """One dict per state a of slice i of ``field``, (i, a) not in ``skip``, whose unit vector
+    psi has a residual ``||(T_i - lambda_a(i)) psi||`` over c ``ritz_error_bound`` of T_i =
+    (``d[i]``, ``e``), c = sqrt(A) + 2 (A - 1) + 1 (see the module docstring)."""
+    A = field.n_surfaces
+    psi = np.sqrt(field.grid2.h) * field.states
+    tpsi = psi * d
+    tpsi[..., :-1] += e * psi[..., 1:]
+    tpsi[..., 1:] += e * psi[..., :-1]
+    residual = np.linalg.norm(tpsi - field.energies[..., None] * psi, axis=2)
+    bound = (np.sqrt(A) + 2.0 * (A - 1) + 1.0) * ritz_error_bound(d, e)
+    return [{"check": "state", "row": int(i), "level": int(a), "residual": float(residual[a, i]),
+             "bound": float(bound[i])}
+            for a, i in zip(*np.nonzero(residual > bound)) if (i, a) not in skip]
+
+
 def answer_misses(config: dict) -> list:
-    """The scan and nuclear levels of ``config`` off their references, as ``_misses`` dicts;
-    none if the config is refused at load or a solve raises."""
+    """The scan levels, scanned states and nuclear levels of ``config`` off their references,
+    as ``_misses`` and ``_state_misses`` dicts; none if the config is refused at load or a
+    solve raises."""
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "config.json"
         path.write_text(json.dumps(config))
@@ -129,8 +163,9 @@ def answer_misses(config: dict) -> list:
     d2, e2 = kinetic_diagonals(cfg.grid2, cfg.model.m)
     d1, e1 = kinetic_diagonals(cfg.grid1, cfg.model.M)
     w = sample_potential(cfg.model, cfg.grid1, cfg.grid2)
-    return (_misses("scan", field.energies, d2 + w, e2)
-            + _misses("nuclear", nuclear.T, d1 + field.energies, e1))
+    levels = _misses("scan", field.energies, d2 + w, e2)
+    states = _state_misses(field, d2 + w, e2, {(m["row"], m["level"]) for m in levels})
+    return levels + states + _misses("nuclear", nuclear.T, d1 + field.energies, e1)
 
 
 def main(argv=None) -> int:

@@ -120,16 +120,19 @@ def scan_pes(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, threads: int
     """Solve the clamped slices over grid1 and assemble a phase-continuous field.
 
     The slices of ``model.sample_potential``'s W go through one ``grid.slice_eigenpairs``
-    call (0 .. ceil(n1/2) - 1, the rest mirrored, if W is inversion-even; the field's
-    ``mirrored`` records which), then one sequential sweep phase-fixes them, reading ties
-    from the gate's bound on each slice of that W. A ValueError unless 1 <= A <= n2; a failed
-    solve is a RuntimeError. ``threads`` is ignored.
+    call on ``threads`` threads, the calling one included (0 .. ceil(n1/2) - 1, the rest
+    mirrored, if W is inversion-even; the field's ``mirrored`` records which), then one
+    sequential sweep phase-fixes them, reading ties from the gate's bound on each slice of that
+    W. The field is the same for any ``threads``. A ValueError unless 1 <= A <= n2 and
+    threads >= 1; a failed solve is a RuntimeError.
     """
     if not 1 <= A <= grid2.n:
         raise ValueError(f"need 1 <= A <= n2, got A = {A}, n2 = {grid2.n}")
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     states = np.empty((A, grid1.n, grid2.n))
     w = sample_potential(spec, grid1, grid2)
-    energies, mirrored = slice_eigenpairs(grid2, spec.m, w, A, states)
+    energies, mirrored = slice_eigenpairs(grid2, spec.m, w, A, states, threads)
     states /= np.sqrt(grid2.h)  # unit Euclidean vectors to the h2-weighted norm
     d, e = kinetic_diagonals(grid2, spec.m)
     states, crossing, degenerate = phase_fix(states, energies, grid2.h, ritz_error_bound(d + w, e))

@@ -12,8 +12,8 @@ that it reads; a Run computes each stage once, on first read:
     compare   report.json               every stage, oracle at k = 1; compression at ranks 1..N
     scaling   scaling.csv, report.json  a Run per mass ratio, all sharing one field
 
---threads (or BO_LAB_THREADS, or "threads" in the config) sets the number of
-sweep workers of ``scaling``; other commands ignore it. A config key that no
+--threads (or BO_LAB_THREADS, or "threads" in the config) sets the threads of
+every command's scan and the sweep workers of ``scaling``. A config key that no
 level of the schema lists exits 2, and a "heavy" block may only restate the
 fixed heavy-regime criterion (region and t1_scale "auto", ratio_threshold 10).
 
@@ -198,7 +198,8 @@ def _grid_dict(g: Grid1D) -> dict:
 # command implementations
 
 def _run(cfg: RunConfig) -> Run:
-    return Run(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces, cfg.nuclear_levels, cfg.seed)
+    return Run(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces, cfg.nuclear_levels, cfg.seed,
+               threads=cfg.threads)
 
 
 def run_pes(cfg: RunConfig, out: Path) -> list:
@@ -246,7 +247,7 @@ def run_project(cfg: RunConfig, out: Path) -> list:
 def run_compare(cfg: RunConfig, out: Path) -> list:
     report = diagnostics.compare_report(
         cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces, cfg.projector_rank,
-        nuclear_levels=cfg.nuclear_levels, seed=cfg.seed)
+        nuclear_levels=cfg.nuclear_levels, seed=cfg.seed, threads=cfg.threads)
     write_json(out / "report.json", report.to_dict())
     return ["report.json"]
 
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--threads", default=None,
-                        help="sweep workers of 'scaling'; other commands ignore it")
+                        help="threads of the scan, and sweep workers of 'scaling'")
     parser.add_argument("--seed", default=None,
                         help="exact oracle's start-vector seed (the compressed solve's is fixed)")
     try:

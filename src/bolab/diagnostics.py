@@ -296,19 +296,20 @@ class Run:
     the nuclear ground state, takes its first level spacing as the kinetic scale
     (its kinetic expectation at one level, or where the spacing is within the two
     levels' Ritz error bounds, 2 ``grid.ritz_error_bound``), and needs A >= 2.
-    ``heff(ranks)`` and ``report(**fields)`` read the stages. The scan holds no M,
-    so a mass sweep passes one field to every row; a field from other grids or with
-    another surface count is a ValueError. Of the oracle only the energies are
-    kept. A Run shares no lock with another.
+    ``heff(ranks)`` and ``report(**fields)`` read the stages. The scan runs on
+    ``threads`` threads. It holds no M, so a mass sweep passes one field to every row;
+    a field from other grids or with another surface count is a ValueError. Of the
+    oracle only the energies are kept. A Run shares no lock with another.
     """
 
     def __init__(self, spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
                  nuclear_levels: int = 2, seed: int = DEFAULT_SEED, exact_k: int = 1,
-                 field: ElectronicField | None = None):
+                 field: ElectronicField | None = None, threads: int = 1):
         if field is not None and (field.grid1, field.grid2, field.n_surfaces) != (grid1, grid2, A):
             raise ValueError("field was scanned on other grids or with another surface count")
         self.spec, self.grid1, self.grid2, self.A = spec, grid1, grid2, A
         self.nuclear_levels, self.seed, self.exact_k = nuclear_levels, seed, exact_k
+        self.threads = threads
         if field is not None:
             self.field = field
 
@@ -323,7 +324,7 @@ class Run:
         return self.__dict__[name]
 
     def _field(self) -> ElectronicField:
-        return scan_pes(self.spec, self.grid1, self.grid2, self.A)
+        return scan_pes(self.spec, self.grid1, self.grid2, self.A, self.threads)
 
     def _nuclear(self) -> dict:
         return {a: solve_nuclear(self.field, self.spec, a, self.nuclear_levels if a == 0 else 1)
@@ -412,8 +413,9 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
     naming it. Both come before the scan. The scan holds no M, so it runs
     once, before the rows, and its failure names no mass ratio; a row's failure
     is a RuntimeError naming its ratio. The compressed-spectrum summary at rank
-    N is attached for the final (largest) ratio. Rows run on ``threads``
-    workers, collected in ratio order: the report is the same for any count.
+    N is attached for the final (largest) ratio. The scan and then the rows run on
+    ``threads`` workers, rows collected in ratio order: the report is the same for
+    any count.
     """
     if A < 2:
         raise ValueError(f"n_surfaces must be at least 2 for the gap report, not {A}")
@@ -430,7 +432,7 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
         except ValueError as exc:
             raise ValueError(f"mass ratio {ratio}: {exc}") from exc
 
-    field = scan_pes(spec, grid1, grid2, A)
+    field = scan_pes(spec, grid1, grid2, A, threads)
     results = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [(ratio, pool.submit(run_pipeline, row_spec, grid1, grid2, A,
@@ -454,14 +456,15 @@ def kappa_scaling_study(spec: ModelSpec, mass_ratios: list, grid1: Grid1D, grid2
 
 
 def compare_report(spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int, N: int,
-                   nuclear_levels: int = 2, seed: int = DEFAULT_SEED) -> ComparisonReport:
-    """Single-model consolidated report of one Run: oracle comparison, projection
-    drift, heavy-kinetic coupling summary, residuals, uncertainty suite. The report
-    reads the oracle's ground energy alone, so its Run solves for k = 1. ``A < 2``
-    is a ValueError naming ``n_surfaces``, before any compute."""
+                   nuclear_levels: int = 2, seed: int = DEFAULT_SEED,
+                   threads: int = 1) -> ComparisonReport:
+    """Single-model consolidated report of one Run, its scan on ``threads`` threads: oracle
+    comparison, projection drift, heavy-kinetic coupling summary, residuals, uncertainty
+    suite. The report reads the oracle's ground energy alone, so its Run solves for k = 1.
+    ``A < 2`` is a ValueError naming ``n_surfaces``, before any compute."""
     if A < 2:
         raise ValueError(f"n_surfaces must be at least 2 for the gap report, not {A}")
-    run = Run(spec, grid1, grid2, A, nuclear_levels, seed)
+    run = Run(spec, grid1, grid2, A, nuclear_levels, seed, threads=threads)
     # heavy-kinetic couplings between the assembled states of every surface
     mat = t1_coupling_matrix(run.field, run.nuclear, [(a, 0) for a in range(A)], spec.M)
     offdiag_max = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))

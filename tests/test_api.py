@@ -54,7 +54,8 @@ def test_only_grid_and_model_sample_the_potential():
 
 
 def test_only_grid_imports_from_scipy_linalg_lapack():
-    # the slice solver and the slice certificate are grid's; every other module asks them
+    # the slice solver and the slice certificate are grid's, and so are the LAPACK bindings
+    # they call: no other module imports LAPACK, its Cython pointers or ctypes
     def imported(tree):
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -64,10 +65,11 @@ def test_only_grid_imports_from_scipy_linalg_lapack():
     importing = {}
     for path in sorted(Path(bolab.__file__).parent.glob("*.py")):
         names = [name for name in imported(ast.parse(path.read_text()))
-                 if name.startswith("scipy.linalg.lapack")]
-        if names and path.name != "grid.py":
+                 if name.split(".")[0] == "ctypes"
+                 or name.startswith(("scipy.linalg.lapack", "scipy.linalg.cython_lapack"))]
+        if names:
             importing[path.name] = names
-    assert importing == {}
+    assert importing == {"grid.py": ["ctypes", "scipy.linalg.cython_lapack"]}
 
 
 def _fresh_python(*args):

@@ -1,5 +1,7 @@
 """Slice solves, surface scans, phase fixing, and the gap report."""
 
+import threading
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -74,6 +76,8 @@ def test_slice_rejects_bad_surface_count():
         scan_pes(spec, g1, g2, 17)
     with pytest.raises(ValueError):
         scan_pes(spec, g1, g2, 0)
+    with pytest.raises(ValueError, match="need threads >= 1, got 0"):
+        scan_pes(spec, g1, g2, 2, threads=0)
 
 
 def test_scan_surfaces_fit_closed_form():
@@ -248,14 +252,27 @@ def test_resolved_close_levels_keep_their_own_states(close_levels):
     assert report.rows[0].relative_error <= 1e-12
 
 
-def test_scan_threaded_is_bit_identical():
-    spec = _harmonic_spec(M=50.0)
-    g1 = build_grid(-1.0, 1.0, 32)
-    g2 = build_grid(-6.0, 6.0, 64)
-    serial = scan_pes(spec, g1, g2, 2, threads=1)
-    threaded = scan_pes(spec, g1, g2, 2, threads=4)
-    assert np.array_equal(serial.energies, threaded.energies)
-    assert np.array_equal(serial.states, threaded.states)
+def test_scan_threaded_is_bit_identical(monkeypatch):
+    # 71 slices of an off-centre box, all solved: in chunks of 22 on three threads the calling
+    # thread's lane ends with the short last chunk; in chunks of 16 on four, every lane runs.
+    # The calling thread takes lane 0 and a worker the others (a worker may take several)
+    from bolab import grid
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return solve(*args)
+    threads, solve = set(), grid._solve_chunk
+    monkeypatch.setattr(grid, "_solve_chunk", spy)
+    spec = ModelSpec(M=100.0, m=1.0, potential=SoftCoulomb(z=1.0, s=1.0, k1=1.0))
+    g1, g2 = build_grid(-1.6, 1.2, 71), build_grid(-10.0, 10.0, 96)
+    serial = scan_pes(spec, g1, g2, 3, threads=1)
+    assert not serial.mirrored and threads == {threading.get_ident()}
+    for count in (3, 4):
+        threads.clear()
+        threaded = scan_pes(spec, g1, g2, 3, threads=count)
+        assert len(threads) >= 2 and threading.get_ident() in threads
+        assert threaded.energies.tobytes() == serial.energies.tobytes()
+        assert threaded.states.tobytes() == serial.states.tobytes()
 
 
 def test_single_slice_solve_is_the_scans_slice():

@@ -689,6 +689,17 @@ def test_bytes_independent_of_blas_threads(tmp_path, command):
     assert outputs[1] and outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("command", ["pes", "compare"])
+def test_bytes_independent_of_scan_threads(tmp_path, command):
+    # soft_coulomb's 48 solved slices run as two chunks of 32 and 16 on two threads
+    outputs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert _run(command, CONFIG_DIR / "soft_coulomb.json", out, ("--threads", str(threads))) == 0
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outputs[1] and outputs[1] == outputs[2]
+
+
 @pytest.mark.parametrize("field, value", [(("grid1", "n"), 16.7), (("seed",), 1.5),
                                           (("n_surfaces",), True), (("threads",), False)],
                          ids=["grid1_n_fractional", "seed_fractional", "n_surfaces_bool", "threads_bool"])

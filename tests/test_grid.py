@@ -4,6 +4,9 @@ Dense stencil matrices are the axis-0 applies acting on the identity, and
 inner products are written out as ``h * vdot(f, g)``.
 """
 
+import ctypes
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -181,7 +184,9 @@ def test_lowest_eigenpairs_agree_with_lapack_on_random_tridiagonals():
 
 
 def test_lowest_eigenpairs_batch_independent():
-    # a slice gets the same bits alone, in any chunk position, and in a batch of other slices
+    # a slice gets the same bits alone, in any chunk position, in a batch of other slices, and
+    # on any thread count: chunks of 64, 32, 22 and 16, lanes that end unevenly, a short last
+    # chunk
     rng = np.random.default_rng(8)
     r, n, A = 2 * _CHUNK + 9, 48, 3
     e = np.full(n - 1, -40.0)
@@ -196,6 +201,15 @@ def test_lowest_eigenpairs_batch_independent():
     again = np.empty((A, r, n))
     assert np.array_equal(_lowest_eigenpairs(d[shuffled], e, A, again), energies[:, shuffled])
     assert np.array_equal(again, vectors[:, shuffled])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads that write the shared outputs switch all the time
+    try:
+        for threads in (2, 3, 4):
+            again = np.empty((A, r, n))
+            assert _lowest_eigenpairs(d, e, A, again, threads).tobytes() == energies.tobytes()
+            assert again.tobytes() == vectors.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("barrier", [20.0, 80.0, 160.0])
@@ -267,9 +281,148 @@ def test_lowest_eigenpairs_failures_are_runtime_errors(monkeypatch):
         with pytest.raises(RuntimeError, match="slice 0: tridiagonal eigenpairs miss the residual"):
             grid._lowest_eigenpairs(np.stack([diag] * 3), off, 1)
     real = grid.dstebz
-    monkeypatch.setattr(grid, "dstebz", lambda *args: (*real(*args)[:4], 1))  # LAPACK's info
+
+    def failing(*args):  # LAPACK's INFO, written through the binding's last address
+        real(*args)
+        ctypes.c_int.from_address(args[-1]).value = 1
+    monkeypatch.setattr(grid, "dstebz", failing)
     with pytest.raises(RuntimeError, match=r"bisection \(stebz\) failed"):
         grid._lowest_eigenpairs(np.stack([diag] * 3), off, 1)
+
+
+def test_a_threaded_solve_raises_the_first_failing_chunks_error(monkeypatch):
+    # every chunk from slice 64 on fails; on 2 and 4 threads a worker's chunk at 96 or 80 may
+    # fail first, but the error raised is chunk 64's, as on one thread
+    from bolab import grid
+
+    def failing(d, *args):
+        first = int(round(d[0, 0]))  # each slice's first entry is its index
+        if first >= _CHUNK:
+            raise RuntimeError(f"chunk from slice {first}")
+        return solve(d, *args)
+    solve = grid._solve_chunk
+    monkeypatch.setattr(grid, "_solve_chunk", failing)
+    d = np.full((4 * _CHUNK, 16), 200.0)
+    d[:, 0] = np.arange(4 * _CHUNK)
+    for threads in (1, 2, 4):
+        with pytest.raises(RuntimeError, match=f"^chunk from slice {_CHUNK}$"):
+            _lowest_eigenpairs(d, np.full(15, -1.0), 2, threads=threads)
+
+
+def _gttrf(lower, diag, upper):
+    """``grid.dgttrf`` on copies, returned as scipy.linalg.lapack.dgttrf returns them:
+    (dl, d, du, du2, ipiv, info)."""
+    from bolab import grid
+
+    n = len(diag)
+    band = np.zeros((4, n))  # DL, D, DU, DU2
+    band[0, :-1], band[1], band[2, :-1] = lower, diag, upper
+    ints = np.zeros(2 + n, dtype=np.int32)  # N, INFO; IPIV
+    ints[0] = n
+    at = ints.ctypes.data
+    grid.dgttrf(at, *[row.ctypes.data for row in band], at + 8, at + 4)
+    return band[0, :-1], band[1], band[2, :-1], band[3, :n - 2], ints[2:], int(ints[1])
+
+
+def _gttrs(factor, b):
+    """``grid.dgttrs`` (TRANS='N') of the ``_gttrf`` factor on a copy of ``b``."""
+    from bolab import grid
+
+    n, x = len(b), b.copy()
+    *band, ipiv, _ = factor
+    ints = np.array([n, 1, 0], dtype=np.int32)  # N, NRHS, INFO
+    at = ints.ctypes.data
+    grid.dgttrs(b"N", at, at + 4, *[a.ctypes.data for a in band], ipiv.ctypes.data, x.ctypes.data,
+          at, at + 8)
+    return x
+
+
+def test_lapack_bindings_give_the_bits_of_scipys_f2py_routines():
+    from scipy.linalg import lapack
+
+    from bolab import grid
+
+    def same(got, ref):
+        return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, ref))
+
+    rng = np.random.default_rng(12)
+    shapes = [(int(rng.integers(3, 60)), rng.choice([1e-8, 1.0, 10.0])) for _ in range(30)]
+    for n, scale in shapes + [(1, 1.0), (24, 0.0)]:  # n = 1, and a matrix split at every row
+        d = rng.standard_normal((2, n)) * rng.choice([1e-3, 1.0, 1e3])
+        e = scale * rng.standard_normal(n - 1)
+        e[rng.random(n - 1) < 0.1] = 0.0  # and a few splits elsewhere
+        off = e if n > 1 else np.zeros(1)  # f2py wants e non-empty at n = 1
+        A, x = int(rng.integers(1, n + 1)), rng.standard_normal()
+        tol = rng.choice([0.0, 1e-9, 1e-3])
+        for i in range(2):
+            m, w, *_, info = lapack.dstebz(d[i], off, 2, 0.0, 0.0, 1, A, tol, "E")  # RANGE='I'
+            got = grid._Bisection(d, e, A)(i, tol)
+            assert info == 0 and got.tobytes() == w[:m].tobytes()
+            m, w, *_ = lapack.dstebz(d[i], off, 1, -np.inf, x, 0, 0, np.inf, "E")  # RANGE='V'
+            assert grid._Bisection(d, e, 0)(i, x).tobytes() == w[:m].tobytes()
+        if n > 1:  # an unsymmetric LU of the matrix shifted near its level 0 and off it, a solve
+            lower, upper, b = e + rng.standard_normal(n - 1), e, rng.standard_normal(n)
+            for shift in (grid._Bisection(d, e, 1)(0, 0.0)[0], 0.5):
+                factor = _gttrf(lower, d[0] - shift, upper)
+                ref = lapack.dgttrf(lower, d[0] - shift, upper)
+                assert same(factor, ref)
+                solved = lapack.dgttrs(*ref[:5], b)[0]
+                assert _gttrs(factor, b).tobytes() == solved.tobytes()
+    # a shift on an eigenvalue, exactly: the zero pivot is LAPACK's INFO on both routes
+    singular = (np.array([1.0, 0.0]), np.ones(3), np.array([1.0, 0.0]))
+    factor = _gttrf(*singular)
+    assert factor[5] == 2 and same(factor, lapack.dgttrf(*singular))
+
+
+def test_one_count_flags_a_missed_level_on_a_resolved_slice(monkeypatch):
+    # levels 0, 2 and 3 of a near-diagonal slice found for its lowest three: the brackets put
+    # level 1's shift on level 2, where level 3, 1e-6 above, and not level 1, 1 below, is the
+    # next. Every residual passes and every gap exceeds 4 s, so only the one count at
+    # theta_2 - s, which sees level 1, can flag the slice
+    from bolab import grid
+
+    def planted(d, e, A=0, *args):
+        stebz = bisection(d, e, A, *args)
+
+        def moved(i, x):
+            w = stebz(i, x).copy()
+            if A:
+                w[1] = w[2]
+            return w
+        return moved
+    bisection = grid._Bisection
+    monkeypatch.setattr(grid, "_Bisection", planted)
+    d = np.array([[0.0, 1.0, 2.0, 2.0 + 1e-6, 10.0, 11.0, 12.0, 13.0]])
+    e = np.full(7, 1e-9)
+    energies, z = np.empty((3, 1)), np.empty((3, 1, 8))
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, 8)
+    failed = grid._solve_chunk(d, e, start, 0, grid._BRACKET_RTOL, energies, z)
+    ref = eigh_tridiagonal(d[0], e, eigvals_only=True)
+    s = grid.ritz_error_bound(d, e)[0]
+    assert np.abs(energies[:, 0] - ref[[0, 2, 3]]).max() <= s
+    assert np.all(np.diff(energies[:, 0]) > 4.0 * s)
+    res = _tridiagonal_apply(d[0], e, z[:, 0]) - energies[:, 0, None] * z[:, 0]
+    assert np.linalg.norm(res, axis=1).max() <= s
+    assert failed.tolist() == [0]
+
+
+@pytest.mark.parametrize("gap, per_level", [(2.5, True), (3.5, True), (5.0, False)])
+def test_gaps_within_4s_keep_a_count_per_level(monkeypatch, gap, per_level):
+    # a computed residual within s may be 3s/2 exactly, so the one count pins every level only
+    # where every Ritz gap exceeds 4s: levels 0 and 1 of a diagonal slice, gap s apart
+    from bolab import grid
+
+    def spy(d, e, mu):
+        shapes.append(mu.shape)
+        return counts(d, e, mu)
+    shapes, counts = [], grid.sturm_counts
+    monkeypatch.setattr(grid, "sturm_counts", spy)
+    d, e = np.array([1.0, 0.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]), np.zeros(7)
+    s = grid.ritz_error_bound(d[None], e)[0]
+    d[1] = 1.0 + gap * s
+    energies = _lowest_eigenpairs(d[None], e, 3)
+    assert np.abs(energies[:, 0] - d[:3]).max() <= s
+    assert shapes[0] == (1, 1) and ((1, 2) in shapes) == per_level
 
 
 def test_fix_signs_is_not_decided_by_round_off():

@@ -7,7 +7,7 @@ that it reads; a Run computes each stage once, on first read:
 
     pes       pes.csv                   field
     bo        theta.csv, bo_energies.json  nuclear, product states, H, residuals
-    exact     exact_energies.json       H alone, solved from its own pieces (no scan), k = exact_k
+    exact     exact_energies.json       a one-surface field, H, oracle at k = exact_k
     project   heff_energies.json        field, H, oracle at k = 1, compression at rank N
     compare   report.json               every stage, oracle at k = 1; compression at ranks 1..N
     scaling   scaling.csv, report.json  a Run per mass ratio, all sharing one field
@@ -38,7 +38,7 @@ import numpy as np
 from . import diagnostics
 from .clamped import HEAVY_RATIO_THRESHOLD
 from .diagnostics import SCHEMA_VERSION, Run
-from .exact import DEFAULT_SEED, MAX_PRODUCT_DIM, rayleigh_quotient, solve_exact
+from .exact import DEFAULT_SEED, MAX_PRODUCT_DIM, rayleigh_quotient
 from .grid import Grid1D, build_grid
 from .model import ModelSpec, potential_from_dict, reject_unknown, sample_potential
 from .projection import build_projector, solve_effective
@@ -225,7 +225,8 @@ def run_bo(cfg: RunConfig, out: Path) -> list:
 
 
 def run_exact(cfg: RunConfig, out: Path) -> list:
-    sol = solve_exact(_run(cfg).hamiltonian, cfg.exact_k, seed=cfg.seed)  # no scan: H's own lambda_0
+    sol = Run(cfg.model, cfg.grid1, cfg.grid2, 1, seed=cfg.seed, exact_k=cfg.exact_k,
+              threads=cfg.threads).exact
     write_json(out / "exact_energies.json", {
         "schema_version": SCHEMA_VERSION, "k": cfg.exact_k,
         "energies": [float(e) for e in sol.energies], "residuals": [float(r) for r in sol.residuals],
@@ -240,7 +241,7 @@ def run_project(cfg: RunConfig, out: Path) -> list:
     write_json(out / "heff_energies.json", {
         "schema_version": SCHEMA_VERSION, "N": cfg.projector_rank,
         "energies": [float(e) for e in eff.energies],
-        "gap_to_exact": float(eff.energies[0] - run.exact_energies[0])})
+        "gap_to_exact": float(eff.energies[0] - run.exact.energies[0])})
     return ["heff_energies.json"]
 
 

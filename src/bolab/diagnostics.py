@@ -29,7 +29,7 @@ import numpy as np
 from .bo import (NuclearSolution, ProductState, adiabatic_residual,
                  assemble_product_state, solve_nuclear, t1_coupling_matrix)
 from .clamped import ElectronicField, HeavyReport, heavy_gap_report, scan_pes
-from .exact import (DEFAULT_SEED, FullHamiltonian, assemble_full_hamiltonian,
+from .exact import (DEFAULT_SEED, ExactSolution, FullHamiltonian, assemble_full_hamiltonian,
                     rayleigh_quotient, solve_exact)
 from .grid import (Grid1D, GridFunction, central_difference, kinetic_diagonals, ritz_error_bound,
                    second_difference)
@@ -288,18 +288,18 @@ class Run:
 
     The stages: ``field`` (the scan, or the ``field`` passed in), ``nuclear``
     (nuclear_levels levels on surface 0, one on every other surface),
-    ``product_states`` (of surface 0), ``hamiltonian``, ``exact_energies`` (the
-    oracle's lowest exact_k, shifted from the scan's lambda_0, which
-    ``solve_exact`` certifies; ``row`` and ``heff`` read only the first, so the
-    reports use the default k = 1), ``residuals`` (one per surface),
+    ``product_states`` (of surface 0), ``hamiltonian``, ``exact`` (the oracle's
+    ExactSolution at exact_k, shifted from the scan's lambda_0, which ``solve_exact``
+    certifies; ``row`` and ``heff`` read only E_0, so the reports use the default
+    k = 1), ``residuals`` (one per surface),
     ``uncertainty`` and ``row``. The row's heavy report spans ``nuclear_region`` of
     the nuclear ground state, takes its first level spacing as the kinetic scale
     (its kinetic expectation at one level, or where the spacing is within the two
     levels' Ritz error bounds, 2 ``grid.ritz_error_bound``), and needs A >= 2.
     ``heff(ranks)`` and ``report(**fields)`` read the stages. The scan runs on
     ``threads`` threads. It holds no M, so a mass sweep passes one field to every row;
-    a field from other grids or with another surface count is a ValueError. Of the
-    oracle only the energies are kept. A Run shares no lock with another.
+    a field from other grids or with another surface count is a ValueError. The
+    oracle's states are kept, k n1 n2 doubles. A Run shares no lock with another.
     """
 
     def __init__(self, spec: ModelSpec, grid1: Grid1D, grid2: Grid1D, A: int,
@@ -337,9 +337,9 @@ class Run:
     def _hamiltonian(self) -> FullHamiltonian:
         return assemble_full_hamiltonian(self.spec, self.grid1, self.grid2)
 
-    def _exact_energies(self) -> np.ndarray:
+    def _exact(self) -> ExactSolution:
         return solve_exact(self.hamiltonian, k=self.exact_k, seed=self.seed,
-                           lam0=self.field.energies[0]).energies
+                           lam0=self.field.energies[0])
 
     def _residuals(self) -> list:
         return [adiabatic_residual(self.field, a) for a in range(self.A)]
@@ -362,7 +362,7 @@ class Run:
     def _row(self) -> ScalingRow:
         spec, sol0 = self.spec, self.nuclear[0]
         rq = rayleigh_quotient(self.hamiltonian, self.product_states[0].amplitudes)
-        e0 = self.exact_energies[0]
+        e0 = self.exact.energies[0]
         if e0 == 0.0:
             raise RuntimeError("oracle ground energy E_exact = 0.0: its relative error is undefined")
         t1_cands = t1_scale_candidates(sol0, spec.M)
@@ -384,7 +384,7 @@ class Run:
         lowest = [float(solve_effective(build_projector(self.field, rank), self.hamiltonian,
                                         k=1).energies[0]) for rank in ranks]
         return {"ranks": list(ranks), "lowest": lowest,
-                "gap_to_exact": float(lowest[-1] - self.exact_energies[0])}
+                "gap_to_exact": float(lowest[-1] - self.exact.energies[0])}
 
     def report(self, **fields) -> ComparisonReport:
         """The report of this run alone; ``fields`` set the optional ones or replace any."""

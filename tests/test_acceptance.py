@@ -90,7 +90,7 @@ def test_criterion_5_variational_invariant(harmonic2000, harmonic2000_setup,
     for run, setup in ((harmonic2000, harmonic2000_setup), (separable_run, separable_setup)):
         spec, g1, g2 = setup
         h = assemble_full_hamiltonian(spec, g1, g2)
-        e0 = run.exact_energies[0]
+        e0 = run.exact.energies[0]
         assert run.row.bo_energy <= e0 + 1e-10 * abs(e0)
         for state in run.product_states:
             assert rayleigh_quotient(h, state.amplitudes) >= e0 - 1e-10 * abs(e0)
@@ -103,9 +103,9 @@ def test_criterion_5_variational_invariant(harmonic2000, harmonic2000_setup,
     soft_h, _, soft_exact = soft_coulomb_oracle
     soft_field = scan_pes(soft_coulomb_setup, soft_h.grid1, soft_h.grid2, 1)
     for h, field, spec, e0 in ((harmonic2000.hamiltonian, harmonic2000.field,
-                                harmonic2000_setup[0], harmonic2000.exact_energies[0]),
+                                harmonic2000_setup[0], harmonic2000.exact.energies[0]),
                                (separable_run.hamiltonian, separable_run.field,
-                                separable_setup[0], separable_run.exact_energies[0]),
+                                separable_setup[0], separable_run.exact.energies[0]),
                                (soft_h, soft_field, soft_coulomb_setup, soft_exact[0])):
         trial = assemble_product_state(solve_nuclear(field, spec, 0, 1), field, 0)
         rq = rayleigh_quotient(h, trial.amplitudes)
@@ -130,7 +130,7 @@ def test_criterion_6_projection_facts(harmonic2000, harmonic2000_setup):
         v_perp = v - pv
         out = p.apply(h.apply(p.apply(v_perp)))
         assert np.linalg.norm(out) <= 1e-10 * scale * np.linalg.norm(v_perp)
-    e0 = harmonic2000.exact_energies[0]
+    e0 = harmonic2000.exact.energies[0]
     lowest = []
     for rank in (1, 2, 3):
         eff = solve_effective(build_projector(field, rank), h, 1)

@@ -167,7 +167,7 @@ def test_rayleigh_ritz_bound(harmonic2000, harmonic2000_setup, separable_run, se
     for run, setup in ((harmonic2000, harmonic2000_setup), (separable_run, separable_setup)):
         spec, g1, g2 = setup
         h = assemble_full_hamiltonian(spec, g1, g2)
-        e0 = run.exact_energies[0]
+        e0 = run.exact.energies[0]
         for state in run.product_states:
             rq = rayleigh_quotient(h, state.amplitudes)
             assert rq >= e0 - 1e-10 * abs(e0)

@@ -79,7 +79,7 @@ def test_unwritable_artifact_exits_2(tmp_path, capsys):
 @pytest.fixture
 def counted_calls(monkeypatch):
     """Names of the pipeline stages each command runs, one entry per call."""
-    from bolab import cli, diagnostics, exact, projection
+    from bolab import diagnostics, exact, projection
 
     calls = []
 
@@ -93,9 +93,8 @@ def counted_calls(monkeypatch):
 
     count(diagnostics, "scan_pes")
     count(diagnostics, "assemble_full_hamiltonian")
-    for module in (cli, diagnostics):
-        count(module, "solve_exact",
-              lambda kwargs: "solve_exact(lam0)" if kwargs.get("lam0") is not None else "solve_exact")
+    count(diagnostics, "solve_exact",
+          lambda kwargs: "solve_exact(lam0)" if kwargs.get("lam0") is not None else "solve_exact")
     count(exact, "splu")
     count(projection, "cholesky_banded")
     return calls
@@ -104,7 +103,8 @@ def counted_calls(monkeypatch):
 @pytest.mark.parametrize("command, config, expected", [
     ("pes", "harmonic_m2000", {"scan_pes": 1}),
     ("bo", "harmonic_m2000", {"scan_pes": 1, "assemble_full_hamiltonian": 1}),
-    ("exact", "harmonic_m2000", {"assemble_full_hamiltonian": 1, "solve_exact": 1, "splu": 2}),
+    ("exact", "harmonic_m2000", {"scan_pes": 1, "assemble_full_hamiltonian": 1,
+                                 "solve_exact(lam0)": 1, "splu": 2}),
     ("project", "harmonic_m2000", {"scan_pes": 1, "assemble_full_hamiltonian": 1,
                                    "solve_exact(lam0)": 1, "splu": 1, "cholesky_banded": 1}),
     ("compare", "harmonic_m2000", {"scan_pes": 1, "assemble_full_hamiltonian": 1,
@@ -125,7 +125,7 @@ def test_run_computes_each_stage_once(counted_calls):
 
     cfg = load_config(str(CONFIG_DIR / "separable.json"))
     run = Run(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces)
-    energies = run.exact_energies
+    energies = run.exact.energies
     assert run.row.exact_energy == energies[0]
     assert run.heff([1])["ranks"] == [1]
     assert Counter(counted_calls) == {"scan_pes": 1, "assemble_full_hamiltonian": 1,
@@ -416,13 +416,13 @@ def test_flag_beats_env(tmp_path, monkeypatch):
 
 
 def test_solver_failure_exits_3(tmp_path, monkeypatch):
-    from bolab import cli
+    from bolab import diagnostics
     from bolab.exact import SolverError
 
     def explode(*args, **kwargs):
         raise SolverError("synthetic non-convergence")
 
-    monkeypatch.setattr(cli, "solve_exact", explode)
+    monkeypatch.setattr(diagnostics, "solve_exact", explode)
     assert _run("exact", CONFIG_DIR / "separable.json", tmp_path) == 3
 
 
@@ -477,16 +477,16 @@ def test_sweep_row_value_error_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_non_finite_result_exits_3(tmp_path, monkeypatch, capsys):
-    from bolab import cli
+    from bolab import diagnostics
 
-    real = cli.solve_exact
+    real = diagnostics.solve_exact
 
     def nan_energy(*args, **kwargs):
         sol = real(*args, **kwargs)
         sol.energies[0] = np.nan
         return sol
 
-    monkeypatch.setattr(cli, "solve_exact", nan_energy)
+    monkeypatch.setattr(diagnostics, "solve_exact", nan_energy)
     assert _run("exact", CONFIG_DIR / "separable.json", tmp_path) == 3
     assert "solver failure: cannot serialize non-finite value nan" in capsys.readouterr().err
 
@@ -689,7 +689,7 @@ def test_bytes_independent_of_blas_threads(tmp_path, command):
     assert outputs[1] and outputs[1] == outputs[2]
 
 
-@pytest.mark.parametrize("command", ["pes", "compare"])
+@pytest.mark.parametrize("command", ["pes", "compare", "exact"])
 def test_bytes_independent_of_scan_threads(tmp_path, command):
     # soft_coulomb's 48 solved slices run as two chunks of 32 and 16 on two threads
     outputs = {}

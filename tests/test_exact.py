@@ -164,8 +164,8 @@ def test_rayleigh_quotient_of_eigenstate(harmonic2000, harmonic2000_setup):
 
 
 def _oracle_cases(harmonic2000, separable_run, soft_coulomb_oracle):
-    yield harmonic2000.hamiltonian, harmonic2000.row.bo_energy, harmonic2000.exact_energies
-    yield separable_run.hamiltonian, separable_run.row.bo_energy, separable_run.exact_energies
+    yield harmonic2000.hamiltonian, harmonic2000.row.bo_energy, harmonic2000.exact.energies
+    yield separable_run.hamiltonian, separable_run.row.bo_energy, separable_run.exact.energies
     yield soft_coulomb_oracle
 
 
@@ -191,7 +191,7 @@ def test_bo_lower_bound_solves_half_the_slices_of_a_centred_box(solved_rows, har
 
 def test_bo_lower_bound_is_exact_for_a_separable_potential(separable_run):
     # the tightest case: the shift sits only 2 delta below E_0, delta from _bo_lower_bound
-    e0 = separable_run.exact_energies[0]
+    e0 = separable_run.exact.energies[0]
     assert abs(_bo_lower_bound(separable_run.hamiltonian)[0] - e0) <= 1e-10 * abs(e0)
 
 
@@ -283,7 +283,7 @@ def test_shift_invert_matches_eigsh_own_factorization(harmonic2000, soft_coulomb
     # eigsh factoring H - sigma I itself (general LU, partial pivoting) is the
     # reference for the symmetric-mode factor solve_exact passes as OPinv
     soft_h, _, soft_energies = soft_coulomb_oracle
-    cases = [(harmonic2000.hamiltonian, harmonic2000.exact_energies),
+    cases = [(harmonic2000.hamiltonian, harmonic2000.exact.energies),
              (soft_h, soft_energies),
              *((h, solve_exact(h, 1).energies) for h in sweep_hamiltonians)]
     for h, energies in cases:
@@ -404,8 +404,9 @@ def test_raised_hint_is_a_solver_error_before_factoring(harmonic2000, monkeypatc
 
 @pytest.fixture
 def raised_own_lambda0(monkeypatch):
-    """``exact.slice_eigenpairs`` with the oracle's own lambda_0, its (n1, n2) call, raised by
-    1e-3 at slice 40, as a slice solver returning a level above the lowest would."""
+    """``slice_eigenpairs`` with lambda_0, its (n1, n2) call, raised by 1e-3 at slice 40, as a
+    slice solver returning a level above the lowest would: the oracle's own (``exact``) and
+    the scan's (``clamped``, the ``exact`` command's)."""
     solve = exact.slice_eigenpairs
 
     def spy(grid, mass, w, *args, **kwargs):
@@ -414,6 +415,7 @@ def raised_own_lambda0(monkeypatch):
             energies[0, 40] += 1e-3
         return energies, mirrored
     monkeypatch.setattr(exact, "slice_eigenpairs", spy)
+    monkeypatch.setattr(clamped, "slice_eigenpairs", spy)
 
 
 def test_oracles_own_lambda0_is_certified(harmonic2000, raised_own_lambda0):
@@ -451,7 +453,28 @@ def test_scan_hint_reproduces_the_oracle_shift(harmonic2000, soft_coulomb_setup,
         assert own.states.tobytes() == hinted.states.tobytes()
     # on harmonic_m2000 the two lambda_0 differ in the last digits
     own = solve_exact(harmonic2000.hamiltonian, 3)
-    assert np.allclose(harmonic2000.exact_energies, own.energies, rtol=1e-13, atol=0.0)
+    assert np.allclose(harmonic2000.exact.energies, own.energies, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("config", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_one_surface_scan_gives_the_oracles_own_lambda0_on_any_threads(monkeypatch, config):
+    # the exact command shifts from this scan, so it writes the bytes of the own-lambda_0 oracle
+    cfg = load_config(str(CONFIG_DIR / f"{config}.json"))
+    h = assemble_full_hamiltonian(cfg.model, cfg.grid1, cfg.grid2)
+    own, solve = [], exact.slice_eigenpairs
+
+    def spy(grid, mass, w, *args, **kwargs):
+        energies, mirrored = solve(grid, mass, w, *args, **kwargs)
+        if len(w) > 1:
+            own.append(energies[0].copy())
+        return energies, mirrored
+    monkeypatch.setattr(exact, "slice_eigenpairs", spy)
+    bound = _bo_lower_bound(h)
+    assert len(own) == 1
+    for threads in (1, 2, 3):
+        lam0 = scan_pes(cfg.model, cfg.grid1, cfg.grid2, 1, threads).energies[0]
+        assert lam0.tobytes() == own[0].tobytes()
+        assert _bo_lower_bound(h, lam0) == bound
 
 
 def test_pipeline_with_a_field_solves_the_light_problem_once(monkeypatch):

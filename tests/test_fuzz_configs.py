@@ -5,6 +5,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -60,3 +61,50 @@ def test_two_rotated_resolved_states_are_state_miss_lines(monkeypatch, capsys):
     assert found == [("state", 3, 0), ("state", 3, 1)]
     assert all(line["residual"] > line["bound"] for line in lines)
     assert lines[0]["config"] == config
+
+
+def _oracle_lines(monkeypatch, capsys, patch=lambda fuzz: None):
+    """The fuzz's exit code and JSON lines, as dicts, for one run of its answer checks on the
+    bundled ``harmonic_equal_mass`` config at 24 x 24 points, small enough for the dense
+    oracle reference, after ``patch(fuzz)`` on the loaded script."""
+    spec = importlib.util.spec_from_file_location("fuzz_configs",
+                                                  REPO / "tools" / "fuzz_configs.py")
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    config = json.loads((CONFIG_DIR / "harmonic_equal_mass.json").read_text())
+    config["grid1"]["n"] = config["grid2"]["n"] = 24
+    monkeypatch.setattr(fuzz, "draw_config", lambda rng: config)
+    monkeypatch.setattr(fuzz, "run_command", lambda command, config: (0, ""))  # answers only
+    patch(fuzz)
+    code = fuzz.main(["--seed", "0", "--count", "1"])
+    return code, [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_a_correct_oracle_passes_the_oracle_and_chain_rows(monkeypatch, capsys):
+    assert _oracle_lines(monkeypatch, capsys) == (0, [])
+
+
+def test_an_oracle_returning_e1_as_e0_is_an_oracle_and_a_chain_miss(monkeypatch, capsys):
+    from bolab import diagnostics
+
+    real = diagnostics.solve_exact
+
+    def e1_as_e0(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        return replace(sol, energies=np.r_[sol.energies[1], sol.energies[1:]])
+    monkeypatch.setattr(diagnostics, "solve_exact", e1_as_e0)
+    code, lines = _oracle_lines(monkeypatch, capsys)
+    assert code == 1
+    assert [(line["check"], line.get("level")) for line in lines] == [("oracle", 0), ("chain", None)]
+    assert abs(lines[0]["value"] - lines[0]["reference"]) > lines[0]["bound"]
+    assert lines[1]["value"] > lines[1]["upper"] + lines[1]["bound"]
+
+
+def test_a_bo_bound_above_the_oracle_is_a_chain_miss(monkeypatch, capsys):
+    def raise_the_bound(fuzz):
+        real = fuzz._bo_lower_bound
+        monkeypatch.setattr(fuzz, "_bo_lower_bound",
+                            lambda h, lam0: (real(h, lam0)[0] + 1.0, real(h, lam0)[1]))
+    code, lines = _oracle_lines(monkeypatch, capsys, raise_the_bound)
+    assert code == 1 and [line["check"] for line in lines] == ["chain"]
+    assert lines[0]["value"] < lines[0]["lower"] - lines[0]["bound"]

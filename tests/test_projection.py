@@ -135,7 +135,7 @@ def test_effective_lowest_close_to_exact(harmonic2000, harmonic2000_setup):
     spec, g1, g2 = harmonic2000_setup
     h = assemble_full_hamiltonian(spec, g1, g2)
     eff = solve_effective(build_projector(harmonic2000.field, 1), h, 1)
-    e0 = harmonic2000.exact_energies[0]
+    e0 = harmonic2000.exact.energies[0]
     assert abs(eff.energies[0] - e0) / abs(e0) < 5e-3
 
 
@@ -143,7 +143,7 @@ def test_effective_rayleigh_ritz_and_monotonicity(harmonic2000, harmonic2000_set
     spec, g1, g2 = harmonic2000_setup
     field = harmonic2000.field
     h = assemble_full_hamiltonian(spec, g1, g2)
-    exact = harmonic2000.exact_energies
+    exact = harmonic2000.exact.energies
     lowest = []
     for rank in (1, 2, 3):
         eff = solve_effective(build_projector(field, rank), h, 3)

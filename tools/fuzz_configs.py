@@ -1,5 +1,6 @@
 """Run every CLI command on random small configs: each config that loads either runs or is refused,
-its scan and nuclear levels are the indexed eigenvalues, and its scanned states their vectors.
+its scan and nuclear levels are the indexed eigenvalues, its scanned states their vectors, and
+its oracle levels H's lowest, between the BO bound and the BO state's Rayleigh quotient.
 
     python tools/fuzz_configs.py --seed S --count N
 
@@ -49,8 +50,22 @@ are each computed in floating point, within about 4 eps (|T_i| + |theta_a|) <= s
 of the exact one, |T_i| being the norm bound that s is 16 eps of. A miss is one
 JSON line with ``check`` ``state``, ``row`` (the slice), ``level``, ``residual``
 and ``bound`` (c s). A level that is a ``scan`` miss is not checked again: its
-residual against a wrong level says nothing new. Exits 1 if it wrote any line,
-else 0.
+residual against a wrong level says nothing new.
+
+The oracle is checked on the same field, through ``diagnostics.Run``'s ``exact``
+stage (``exact_k`` levels shifted from the scan's lambda_0, as every command
+solves it). Both of its rows allow ``||r_j|| + 64 eps ||H||_G``, ``||r_j||`` the
+residual the oracle reports for level j, a bound on its distance to some
+eigenvalue of H, and ``||H||_G`` the Gershgorin bound, the largest absolute row
+sum of H's five diagonals. The ``oracle`` row holds each level E_j to level j of
+dense ``numpy.linalg.eigvalsh`` of H, on product grids of at most 1,600 points
+(every drawn config's; a bundled config may be larger); a miss is one line per
+level with ``level``, ``value``, ``reference`` and ``bound``. The ``chain`` row
+holds E_BO - delta <= E_0 <= RQ, E_BO and delta from ``exact._bo_lower_bound`` at the
+scan's lambda_0 and RQ the Rayleigh quotient of the BO product state of surface 0;
+a miss is one line with ``lower`` (E_BO - delta), ``value`` (E_0), ``upper`` (RQ) and
+``bound``. An oracle that raises is left to the commands' exit codes. Exits 1 if
+it wrote any line, else 0.
 """
 
 import argparse
@@ -70,8 +85,12 @@ from scipy.linalg import eigvalsh_tridiagonal  # noqa: E402
 from bolab import cli  # noqa: E402
 from bolab.bo import solve_nuclear  # noqa: E402
 from bolab.clamped import scan_pes  # noqa: E402
+from bolab.diagnostics import Run  # noqa: E402
+from bolab.exact import _bo_lower_bound, rayleigh_quotient  # noqa: E402
 from bolab.grid import kinetic_diagonals, ritz_error_bound  # noqa: E402
 from bolab.model import _FAMILIES, sample_potential  # noqa: E402
+
+DENSE_MAX = 1600  # the largest product grid draw_config makes, 40 x 40
 
 
 def _log_uniform(rng, lo: float, hi: float) -> float:
@@ -143,10 +162,36 @@ def _state_misses(field, d: np.ndarray, e: np.ndarray, skip: set) -> list:
             for a, i in zip(*np.nonzero(residual > bound)) if (i, a) not in skip]
 
 
+def _oracle_misses(cfg, field) -> list:
+    """The ``oracle`` and ``chain`` rows (see the module docstring) of the oracle solved on
+    ``field``, as dicts; none if a solve raises."""
+    run = Run(cfg.model, cfg.grid1, cfg.grid2, cfg.n_surfaces, nuclear_levels=1, seed=cfg.seed,
+              exact_k=cfg.exact_k, field=field)
+    try:
+        sol, h = run.exact, run.hamiltonian
+        e_bo, delta = _bo_lower_bound(h, field.energies[0])
+        rq = rayleigh_quotient(h, run.product_states[0].amplitudes)
+    except (ValueError, ArithmeticError, RuntimeError):
+        return []
+    a = h.sector(0)
+    bound = sol.residuals + 64.0 * np.finfo(float).eps * float(abs(a).sum(axis=1).max())
+    out = []
+    if h.dim <= DENSE_MAX:
+        ref = np.linalg.eigvalsh(a.toarray())[:len(sol.energies)]
+        out = [{"check": "oracle", "level": int(j), "value": float(sol.energies[j]),
+                "reference": float(ref[j]), "bound": float(bound[j])}
+               for j in np.flatnonzero(np.abs(sol.energies - ref) > bound)]
+    e0, lower = float(sol.energies[0]), e_bo - delta
+    if not lower - bound[0] <= e0 <= rq + bound[0]:
+        out.append({"check": "chain", "lower": lower, "value": e0, "upper": rq,
+                    "bound": float(bound[0])})
+    return out
+
+
 def answer_misses(config: dict) -> list:
     """The scan levels, scanned states and nuclear levels of ``config`` off their references,
-    as ``_misses`` and ``_state_misses`` dicts; none if the config is refused at load or a
-    solve raises."""
+    as ``_misses`` and ``_state_misses`` dicts, then ``_oracle_misses``; none if the config is
+    refused at load or the scan or a nuclear solve raises."""
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "config.json"
         path.write_text(json.dumps(config))
@@ -165,7 +210,8 @@ def answer_misses(config: dict) -> list:
     w = sample_potential(cfg.model, cfg.grid1, cfg.grid2)
     levels = _misses("scan", field.energies, d2 + w, e2)
     states = _state_misses(field, d2 + w, e2, {(m["row"], m["level"]) for m in levels})
-    return levels + states + _misses("nuclear", nuclear.T, d1 + field.energies, e1)
+    return (levels + states + _misses("nuclear", nuclear.T, d1 + field.energies, e1)
+            + _oracle_misses(cfg, field))
 
 
 def main(argv=None) -> int:
